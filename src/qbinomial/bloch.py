@@ -167,12 +167,19 @@ def eigenbasis(obs: TwoLevelObservable) -> tuple[np.ndarray, np.ndarray]:
 
     u belongs to the high eigenvalue, v to the low one. Phases follow the
     standard half-angle convention, so a +z direction gives exactly
-    (|0>, |1>). Eigenvectors are defined up to a global phase.
+    (|0>, |1>). Eigenvectors are defined up to a global phase. The
+    half-angle terms come from n_z and n_x + i n_y without an arccos,
+    which would turn a 1e-16 rounding of n_z near +-1 into a 1e-8 angle.
     """
     n = obs.unit_direction()
-    theta = math.acos(min(1.0, max(-1.0, n.z)))
-    phi = math.atan2(n.y, n.x)
-    c, s = math.cos(theta / 2.0), math.sin(theta / 2.0)
-    u = np.array([c, s * complex(math.cos(phi), math.sin(phi))], dtype=complex)
-    v = np.array([-s * complex(math.cos(phi), -math.sin(phi)), c], dtype=complex)
+    xy = complex(n.x, n.y)
+    if n.z >= 0.0:
+        c = math.sqrt((1.0 + n.z) / 2.0)
+        s_phase = xy / (2.0 * c)
+    else:
+        s = math.sqrt((1.0 - n.z) / 2.0)
+        c = abs(xy) / (2.0 * s)
+        s_phase = s * xy / abs(xy) if xy else complex(s)
+    u = np.array([c, s_phase], dtype=complex)
+    v = np.array([-s_phase.conjugate(), c], dtype=complex)
     return u, v

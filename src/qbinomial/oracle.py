@@ -4,8 +4,9 @@ Everything here is built densely from raw tensor products: the N-period
 stock operator on (C^2)^(x)N, product risk-neutral states, projector
 sums enumerated subset by subset, the symmetric-subspace compression
 used by the Bose-Einstein model, and plain 2^N path enumeration of the
-classical model. No closed form from the pricing module is reused;
-exactness and auditability are the point, not speed.
+classical model. No weight or price route from the pricing module is
+reused, only its terminal-price ladder; exactness and auditability are
+the point, not speed.
 """
 from __future__ import annotations
 
@@ -228,18 +229,7 @@ def oracle_price_be(
         raise ValueError("observable values must match the market's (down, up)")
     _check_risk_neutral(params, state, obs, "state")
     compressed = build_symmetric_be_state(state, obs, periods)
-    payoffs = np.array(
-        [
-            max(
-                0.0,
-                params.stock_initial
-                * (1.0 + params.up) ** n
-                * (1.0 + params.down) ** (periods - n)
-                - spec.strike,
-            )
-            for n in range(periods + 1)
-        ]
-    )
+    payoffs = np.maximum(np.array(pricing.terminal_prices(params, periods)) - spec.strike, 0.0)
     discount = (1.0 + params.rate) ** (-periods)
     return discount * float(np.trace(compressed @ np.diag(payoffs)).real)
 
@@ -258,16 +248,12 @@ def classical_path_enumeration(
     if periods > PATH_CAP:
         raise ValueError(f"N={periods} exceeds path enumeration cap ({PATH_CAP})")
     q = classical_risk_neutral_q(params)
+    terminal = pricing.terminal_prices(params, periods)
     total = 0.0
     for mask in range(2**periods):
         ups = mask.bit_count()
         weight = q**ups * (1.0 - q) ** (periods - ups)
-        terminal = (
-            params.stock_initial
-            * (1.0 + params.up) ** ups
-            * (1.0 + params.down) ** (periods - ups)
-        )
-        total += weight * max(0.0, terminal - spec.strike)
+        total += weight * max(0.0, terminal[ups] - spec.strike)
     return total / (1.0 + params.rate) ** periods
 
 
@@ -296,16 +282,8 @@ def enumerate_path_outcomes(params: MarketParams, periods: int) -> list[PathOutc
         ups = mask.bit_count()
         weights[ups] += q**ups * (1.0 - q) ** (periods - ups)
     return [
-        PathOutcome(
-            up_count=n,
-            terminal_price=(
-                params.stock_initial
-                * (1.0 + params.up) ** n
-                * (1.0 + params.down) ** (periods - n)
-            ),
-            weight=weights[n],
-        )
-        for n in range(periods + 1)
+        PathOutcome(up_count=n, terminal_price=price, weight=weights[n])
+        for n, price in enumerate(pricing.terminal_prices(params, periods))
     ]
 
 
@@ -319,7 +297,7 @@ class IdentityCheck:
 
     @property
     def passed(self) -> bool:
-        return self.deviation < self.tolerance
+        return bool(self.deviation < self.tolerance)
 
 
 def _random_unit(rng: np.random.Generator) -> BlochVector:

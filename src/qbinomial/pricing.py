@@ -20,7 +20,6 @@ from .market import (
     ClassicalModel,
     MarketParams,
     classical_risk_neutral_q,
-    is_arbitrage_free,
 )
 
 Model = Literal["classical", "quantum_single", "mb", "be"]
@@ -111,35 +110,67 @@ def classical_expected_price(model: ClassicalModel, payoff: TwoPointPayoff) -> f
     return (p * payoff.at_up + (1.0 - p) * payoff.at_down) / (1.0 + model.params.rate)
 
 
+def lattice_weights(periods: int, p: float, binomial: bool) -> list[float]:
+    """Normalized weights over the up-move count n = 0..N.
+
+    binomial=True gives the Maxwell-Boltzmann law C(N,n) p^n (1-p)^(N-n);
+    binomial=False drops C(N,n), giving the Bose-Einstein geometric
+    family p^n (1-p)^(N-n) / sum_k p^k (1-p)^(N-k). The largest term
+    (the mode floor((N+1)p) for MB, an end of the lattice for BE) is set
+    to 1 and the others follow outward by the term ratio, so no power of
+    p underflows before the weights are normalized. Terms that underflow
+    far from the largest one stay 0. p = 0 and p = 1 are point masses.
+    """
+    if not 0.0 <= p <= 1.0:
+        raise ValueError("p must lie in [0, 1]")
+    weights = [0.0] * (periods + 1)
+    if p == 0.0 or p == 1.0:
+        weights[periods if p == 1.0 else 0] = 1.0
+        return weights
+    odds = p / (1.0 - p)
+    top = min(periods, int((periods + 1) * p)) if binomial else (periods if odds > 1.0 else 0)
+    weights[top] = term = 1.0
+    for n in range(top, periods):
+        term *= (periods - n) / (n + 1) * odds if binomial else odds
+        if term == 0.0:
+            break
+        weights[n + 1] = term
+    term = 1.0
+    for n in range(top, 0, -1):
+        term /= (periods - n + 1) / n * odds if binomial else odds
+        if term == 0.0:
+            break
+        weights[n - 1] = term
+    total = sum(weights)
+    return [w / total for w in weights]
+
+
+def terminal_prices(params: MarketParams, periods: int) -> list[float]:
+    """Terminal stock prices S0 (1+up)^n (1+down)^(N-n) for n = 0..N.
+
+    Raises OverflowError naming N when the all-up price leaves the float
+    range; the ladder increases in n, so no other price can.
+    """
+    s0, grow, shrink = params.stock_initial, 1.0 + params.up, 1.0 + params.down
+    try:
+        prices = [s0 * grow**n * shrink ** (periods - n) for n in range(periods + 1)]
+    except OverflowError:
+        prices = [math.inf]
+    if prices[-1] == math.inf:
+        raise OverflowError(f"terminal prices exceed the float range at N={periods}")
+    return prices
+
+
 def complementary_binomial(m: int, n: int, p: float) -> float:
     """Upper binomial tail: sum of C(n,j) p^j (1-p)^(n-j) for j = m..n.
 
     By convention the full sum (m <= 0) is exactly 1 and the empty sum
-    (m = n+1) exactly 0. Terms are accumulated with the multiplicative
-    recurrence term_{j+1} = term_j * (n-j)/(j+1) * p/(1-p); direct
-    summation is exact enough at desk scale and avoids incomplete-beta
-    machinery.
+    (m = n+1) exactly 0.
     """
     if not 0 <= m <= n + 1:
         raise ValueError("m must lie in [0, n+1]")
-    if not 0.0 <= p <= 1.0:
-        raise ValueError("p must lie in [0, 1]")
-    if m == 0:
-        return 1.0
-    if m == n + 1:
-        return 0.0
-    if p == 0.0:
-        return 0.0  # all mass sits at j = 0 < m
-    if p == 1.0:
-        return 1.0  # all mass sits at j = n >= m
-    ratio = p / (1.0 - p)
-    term = (1.0 - p) ** n
-    total = 0.0
-    for j in range(n):
-        term *= (n - j) / (j + 1) * ratio
-        if j + 1 >= m:
-            total += term
-    return total
+    weights = lattice_weights(n, p, True)
+    return 1.0 if m == 0 else sum(weights[m:])
 
 
 def crr_cutoff_tau(params: MarketParams, spec: CallSpec, periods: int) -> int:
@@ -150,11 +181,24 @@ def crr_cutoff_tau(params: MarketParams, spec: CallSpec, periods: int) -> int:
     """
     if periods < 1:
         raise ValueError("periods must be >= 1")
-    s0 = params.stock_initial
-    for n in range(periods + 1):
-        if s0 * (1.0 + params.up) ** n * (1.0 + params.down) ** (periods - n) > spec.strike:
-            return n
-    return periods + 1
+    prices = terminal_prices(params, periods)
+    return next((n for n, s in enumerate(prices) if s > spec.strike), periods + 1)
+
+
+def _lattice_expectation(
+    params: MarketParams,
+    payoff: Callable[[float], float],
+    periods: int,
+    binomial: bool,
+) -> float:
+    """Discounted expectation of a terminal payoff under MB or BE weights."""
+    if periods < 1:
+        raise ValueError("periods must be >= 1")
+    q = classical_risk_neutral_q(params)
+    prices = terminal_prices(params, periods)
+    weights = lattice_weights(periods, q, binomial)
+    total = sum(w * payoff(s) for w, s in zip(weights, prices) if w)
+    return total / (1.0 + params.rate) ** periods
 
 
 def mb_payoff_price(
@@ -168,29 +212,16 @@ def mb_payoff_price(
     the terminal price with n up moves. Accepts any terminal payoff
     function, which is how puts and other payoffs are priced.
     """
-    if periods < 1:
-        raise ValueError("periods must be >= 1")
-    q = classical_risk_neutral_q(params)
-    total = 0.0
-    for n in range(periods + 1):
-        terminal = (
-            params.stock_initial
-            * (1.0 + params.up) ** n
-            * (1.0 + params.down) ** (periods - n)
-        )
-        total += math.comb(periods, n) * q**n * (1.0 - q) ** (periods - n) * payoff(terminal)
-    return total / (1.0 + params.rate) ** periods
+    return _lattice_expectation(params, payoff, periods, binomial=True)
 
 
 def mb_price(params: MarketParams, spec: CallSpec, periods: int) -> PricingResult:
     """N-period Maxwell-Boltzmann call price in Cox-Ross-Rubinstein form.
 
     Evaluates S0 * Psi(tau; N, q') - K (1+r)^-N * Psi(tau; N, q) with
-    q' = q (1+up)/(1+rate), and cross-checks the result against the
-    explicit binomial sum before returning it.
+    q' = q (1+up)/(1+rate). The explicit binomial sum (mb_payoff_price)
+    is compared with it by oracle.run_identity_checks, not here.
     """
-    if periods < 1:
-        raise ValueError("periods must be >= 1")
     q = classical_risk_neutral_q(params)
     q_prime = q * (1.0 + params.up) / (1.0 + params.rate)
     tau = crr_cutoff_tau(params, spec, periods)
@@ -199,12 +230,6 @@ def mb_price(params: MarketParams, spec: CallSpec, periods: int) -> PricingResul
         params.stock_initial * complementary_binomial(tau, periods, q_prime)
         - spec.strike * discount * complementary_binomial(tau, periods, q)
     )
-    explicit = mb_payoff_price(params, lambda s: max(0.0, s - spec.strike), periods)
-    scale = max(1.0, params.stock_initial, spec.strike)
-    if abs(closed - explicit) > 1e-10 * scale:
-        raise ArithmeticError(
-            f"closed form {closed!r} and explicit sum {explicit!r} disagree"
-        )
     return PricingResult(
         price=max(0.0, closed),
         discounted_by=discount,
@@ -218,12 +243,10 @@ def be_weights(params: MarketParams, periods: int) -> np.ndarray:
     """Bose-Einstein occupation weights q^n (1-q)^(N-n) normalized to sum 1.
 
     A geometric-ratio family indexed by the up-move count n; no binomial
-    coefficients appear. All-equal weights at q = 1/2 need no special
-    casing.
+    coefficients appear.
     """
     q = classical_risk_neutral_q(params)
-    raw = np.array([q**n * (1.0 - q) ** (periods - n) for n in range(periods + 1)])
-    return raw / raw.sum()
+    return np.array(lattice_weights(periods, q, binomial=False))
 
 
 def be_payoff_price(
@@ -232,26 +255,13 @@ def be_payoff_price(
     periods: int,
 ) -> float:
     """Discounted Bose-Einstein-weighted expectation of a terminal payoff."""
-    if periods < 1:
-        raise ValueError("periods must be >= 1")
-    weights = be_weights(params, periods)
-    total = 0.0
-    for n in range(periods + 1):
-        terminal = (
-            params.stock_initial
-            * (1.0 + params.up) ** n
-            * (1.0 + params.down) ** (periods - n)
-        )
-        total += weights[n] * payoff(terminal)
-    return total / (1.0 + params.rate) ** periods
+    return _lattice_expectation(params, payoff, periods, binomial=False)
 
 
 def be_price(params: MarketParams, spec: CallSpec, periods: int) -> PricingResult:
     """N-period Bose-Einstein call price (identical-particle statistics)."""
-    if periods < 1:
-        raise ValueError("periods must be >= 1")
-    discount = (1.0 + params.rate) ** (-periods)
     price = be_payoff_price(params, lambda s: max(0.0, s - spec.strike), periods)
+    discount = (1.0 + params.rate) ** (-periods)
     return PricingResult(price=price, discounted_by=discount, model="be", periods=periods)
 
 

@@ -149,6 +149,17 @@ def test_verify_csv_format():
     assert all(row[3] == "pass" for row in rows[1:] if row)
 
 
+def test_verify_json_format():
+    result = _invoke(
+        ["verify", *REFERENCE_FLAGS, "--periods", "4", "--seed", "1", "--format", "json"]
+    )
+    assert result.exit_code == 0
+    data = json.loads(result.stdout)
+    assert data["passed"] is True
+    assert len(data["checks"]) == 7
+    assert all(check["passed"] is True for check in data["checks"])
+
+
 def test_verify_rejects_periods_above_cap():
     result = _invoke(["verify", *REFERENCE_FLAGS, "--periods", "13"])
     assert result.exit_code == 2

@@ -7,8 +7,10 @@ compression for the Bose-Einstein one.
 """
 from __future__ import annotations
 
+import functools
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -19,6 +21,7 @@ from qbinomial import (
     DensityState,
     MarketParams,
     TwoPointPayoff,
+    be_payoff_price,
     be_price,
     be_weights,
     call_two_point,
@@ -99,6 +102,17 @@ def test_trace_form_agrees_with_closed_form():
         for state in sample_disk(disk, 10, int(rng.integers(2**31))):
             traced = single_period_trace_price(params, payoff, state, obs)
             assert abs(traced - reference) < 1e-12
+
+
+def test_trace_form_exact_when_direction_rounds_off_the_pole():
+    # unit() turns this market's z-axis direction into z = 0.9999999999999999.
+    params = MarketParams(1.0, 89.8071, 0.0088, -0.0672, 0.1379)
+    payoff = call_two_point(params, CallSpec(71.5322))
+    reference = single_period_price(params, payoff).price
+    obs = default_observable(params)
+    for state in sample_disk(risk_neutral_disk(params, obs), 20, 1):
+        traced = single_period_trace_price(params, payoff, state, obs)
+        assert abs(traced - reference) < 1e-12 * max(89.8071, 71.5322)
 
 
 def test_trace_form_rejects_off_disk_state():
@@ -327,3 +341,93 @@ def test_convergence_sweep():
         convergence_sweep(REFERENCE, CALL, 6, "classical")
     with pytest.raises(ValueError):
         convergence_sweep(REFERENCE, CALL, 0, "mb")
+
+
+# ---------------------------------------------------------------- large N
+
+
+def _crr_market(periods: int) -> MarketParams:
+    """sigma = 20%, annual rate 5%, T = 1, S0 = 100, rescaled to N periods."""
+    step = 0.2 * math.sqrt(1.0 / periods)
+    return MarketParams(1.0, 100.0, math.expm1(0.05 / periods), math.expm1(-step), math.expm1(step))
+
+
+@functools.lru_cache(maxsize=None)
+def _mp_call_put(params: MarketParams, strike: float, periods: int, binomial: bool):
+    """(call, put) at 40 digits from the market's inputs, no qbinomial code involved.
+
+    The weights C(N,n) q^n (1-q)^(N-n) (MB) or q^n (1-q)^(N-n) (BE) are
+    normalized by their exact sum, so nothing underflows at any N.
+    """
+    with mpmath.workdps(40):
+        up, down, rate = (mpmath.mpf(x) for x in (params.up, params.down, params.rate))
+        q = (rate - down) / (up - down)
+        term, price = (1 - q) ** periods, params.stock_initial * (1 + down) ** periods
+        mass = call = put = mpmath.mpf(0)
+        for n in range(periods + 1):
+            mass += term
+            call += term * max(price - strike, 0)
+            put += term * max(strike - price, 0)
+            term *= q / (1 - q) * ((periods - n) / mpmath.mpf(n + 1) if binomial else 1)
+            price *= (1 + up) / (1 + down)
+        discount = (1 + rate) ** periods * mass
+        return float(call / discount), float(put / discount)
+
+
+def _route_value(route: str, params: MarketParams, periods: int) -> float:
+    put = lambda s: max(0.0, CALL.strike - s)  # noqa: E731
+    return {
+        "mb_price": lambda: mb_price(params, CALL, periods).price,
+        "be_price": lambda: be_price(params, CALL, periods).price,
+        "mb_payoff_price": lambda: mb_payoff_price(params, put, periods),
+        "be_payoff_price": lambda: be_payoff_price(params, put, periods),
+    }[route]()
+
+
+ROUTES = ("mb_price", "be_price", "mb_payoff_price", "be_payoff_price")
+
+
+@pytest.mark.parametrize("route", ROUTES)
+def test_large_n_routes_match_high_precision_reference(route):
+    for periods in (1_000, 10_000):
+        params = _crr_market(periods)
+        call, put = _mp_call_put(params, CALL.strike, periods, route.startswith("mb"))
+        expected = put if "payoff" in route else call
+        got = _route_value(route, params, periods)
+        assert abs(got - expected) <= 1e-10 * abs(expected), (periods, got, expected)
+
+
+@pytest.mark.parametrize(
+    "params,periods", [(REFERENCE, 1000), (REFERENCE, 1100), (_crr_market(1100), 1100)]
+)
+def test_baseline_failure_rows_price_correctly(params, periods):
+    for binomial, pricer in ((True, mb_price), (False, be_price)):
+        price = pricer(params, CALL, periods).price
+        expected = _mp_call_put(params, CALL.strike, periods, binomial)[0]
+        assert math.isfinite(price)
+        assert abs(price - expected) <= 1e-10 * max(100.0, abs(expected)), (binomial, price)
+
+
+def test_crr_call_at_hundred_thousand_periods_matches_black_scholes():
+    d1 = (0.05 + 0.02) / 0.2  # (ln(S/K) + (r + sigma^2/2) T) / (sigma sqrt(T)) at S = K
+    cdf = lambda x: 0.5 * (1.0 + math.erf(x / math.sqrt(2.0)))  # noqa: E731
+    black_scholes = 100.0 * cdf(d1) - 100.0 * math.exp(-0.05) * cdf(d1 - 0.2)
+    assert abs(black_scholes - 10.4506) < 1e-4
+    periods = 100_000
+    assert abs(mb_price(_crr_market(periods), CALL, periods).price - black_scholes) < 1e-3
+
+
+def test_convergence_sweep_with_q_near_one_reaches_four_hundred_periods():
+    params = MarketParams(1.0, 100.0, 0.05, -0.2, 0.06)
+    series = convergence_sweep(params, CALL, 400, "mb")
+    assert [n for n, _ in series] == list(range(1, 401))
+    assert all(math.isfinite(value) for _, value in series)
+    expected = _mp_call_put(params, CALL.strike, 400, True)[0]
+    assert abs(series[-1][1] - expected) <= 1e-10 * expected
+
+
+@pytest.mark.parametrize("route", ROUTES)
+def test_terminal_price_overflow_raises_named_regime(route):
+    # 100 * 1.2^5000 is far beyond the float range.
+    with pytest.raises(OverflowError, match="N=5000"):
+        _route_value(route, REFERENCE, 5000)
