@@ -7,7 +7,12 @@ statistics reproduce the Cox-Ross-Rubinstein binomial formula, while
 identical-particle (Bose-Einstein) statistics give an alternative
 pricing rule on the symmetric subspace. Every closed form is verified
 against exact dense tensor-product oracles.
+
+The oracle names are resolved on first access, so importing the package
+for scalar pricing does not load the dense layer or numpy.
 """
+import importlib
+
 from .bloch import (
     BlochVector,
     DensityState,
@@ -29,18 +34,6 @@ from .market import (
     is_arbitrage_free,
     risk_neutral_disk,
     sample_disk,
-)
-from .oracle import (
-    PathOutcome,
-    build_product_state,
-    build_stock_operator,
-    build_symmetric_be_state,
-    classical_path_enumeration,
-    enumerate_path_outcomes,
-    mb_weight,
-    oracle_price_be,
-    oracle_price_mb,
-    run_identity_checks,
 )
 from .pricing import (
     CallSpec,
@@ -105,3 +98,27 @@ __all__ = [
     "single_period_price",
     "single_period_trace_price",
 ]
+
+_ORACLE_NAMES = (
+    "PathOutcome",
+    "build_product_state",
+    "build_stock_operator",
+    "build_symmetric_be_state",
+    "classical_path_enumeration",
+    "enumerate_path_outcomes",
+    "mb_weight",
+    "oracle_price_be",
+    "oracle_price_mb",
+    "run_identity_checks",
+)
+
+
+def __getattr__(name: str):
+    if name == "oracle" or name in _ORACLE_NAMES:
+        oracle = importlib.import_module(".oracle", __name__)
+        return oracle if name == "oracle" else getattr(oracle, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_ORACLE_NAMES})

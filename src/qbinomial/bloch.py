@@ -7,20 +7,42 @@ on demand for the brute-force oracles; the Bloch form is canonical.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 # Construction tolerance for norm and orthonormality checks. Everything
 # here is closed-form on doubles, so slack much beyond ~1e-12 indicates a
 # bug, but 1e-9 avoids false rejections on user-supplied directions.
 TOL = 1e-9
 
-I2 = np.eye(2, dtype=complex)
-SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
-SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
+# Dense Pauli basis, exposed as module attributes I2 and SIGMA_X/Y/Z.
+# numpy is imported when a dense matrix is first built, not with the
+# module, so scalar pricing never loads it.
+_PAULI_NAMES = ("I2", "SIGMA_X", "SIGMA_Y", "SIGMA_Z")
+
+
+@functools.cache
+def _pauli_basis() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(I2, SIGMA_X, SIGMA_Y, SIGMA_Z) as dense complex 2x2 matrices."""
+    import numpy as np
+
+    return (
+        np.eye(2, dtype=complex),
+        np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),
+        np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex),
+        np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex),
+    )
+
+
+def __getattr__(name: str) -> np.ndarray:
+    if name in _PAULI_NAMES:
+        return _pauli_basis()[_PAULI_NAMES.index(name)]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 @dataclass(frozen=True)
@@ -51,11 +73,14 @@ class BlochVector:
         return self.scaled(1.0 / n)
 
     def as_array(self) -> np.ndarray:
+        import numpy as np
+
         return np.array([self.x, self.y, self.z])
 
     def pauli_matrix(self) -> np.ndarray:
         """x*sigma_x + y*sigma_y + z*sigma_z as a dense 2x2."""
-        return self.x * SIGMA_X + self.y * SIGMA_Y + self.z * SIGMA_Z
+        _, sigma_x, sigma_y, sigma_z = _pauli_basis()
+        return self.x * sigma_x + self.y * sigma_y + self.z * sigma_z
 
 
 @dataclass(frozen=True)
@@ -83,7 +108,7 @@ class DensityState:
 
     def matrix(self) -> np.ndarray:
         """Dense 2x2 density matrix (I + v.sigma)/2."""
-        return 0.5 * (I2 + self.bloch.pauli_matrix())
+        return 0.5 * (_pauli_basis()[0] + self.bloch.pauli_matrix())
 
 
 @dataclass(frozen=True)
@@ -118,7 +143,7 @@ class TwoLevelObservable:
 
     def matrix(self) -> np.ndarray:
         """Dense 2x2 matrix offset*I + direction.sigma."""
-        return self.offset * I2 + self.direction.pauli_matrix()
+        return self.offset * _pauli_basis()[0] + self.direction.pauli_matrix()
 
 
 def make_state(bloch: BlochVector) -> DensityState:
@@ -171,6 +196,8 @@ def eigenbasis(obs: TwoLevelObservable) -> tuple[np.ndarray, np.ndarray]:
     half-angle terms come from n_z and n_x + i n_y without an arccos,
     which would turn a 1e-16 rounding of n_z near +-1 into a 1e-8 angle.
     """
+    import numpy as np
+
     n = obs.unit_direction()
     xy = complex(n.x, n.y)
     if n.z >= 0.0:

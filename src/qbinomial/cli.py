@@ -17,8 +17,7 @@ from typing import Any
 
 import click
 
-from . import oracle, pricing
-from .bloch import DensityState
+from . import pricing
 from .market import (
     MarketParams,
     classical_risk_neutral_q,
@@ -27,7 +26,7 @@ from .market import (
     risk_neutral_disk,
     sample_disk,
 )
-from .pricing import MODELS, CallSpec, PricingResult
+from .pricing import MODELS, CallSpec
 
 OUTPUT_FORMATS = ("table", "csv", "json")
 
@@ -231,27 +230,15 @@ def price(config_path: str | None, dump_config: bool, **flags: Any) -> None:
         q_prime = None
         payoff = pricing.call_two_point(params, spec)
         if config.model == "classical":
-            result = dataclasses.replace(
-                pricing.single_period_price(params, payoff), model="classical"
-            )
+            result = pricing.single_period_price(params, payoff, model="classical")
         elif config.model == "quantum_single":
-            obs = default_observable(params)
-            disk = risk_neutral_disk(params, obs)
-            value = pricing.single_period_trace_price(
-                params, payoff, DensityState(disk.center()), obs
-            )
-            result = PricingResult(
-                price=value,
-                discounted_by=1.0 / (1.0 + params.rate),
-                model="quantum_single",
-                periods=1,
-            )
+            result = pricing.quantum_single_price(params, payoff)
         elif config.model == "mb":
             result = pricing.mb_price(params, spec, config.periods)
             q_prime = q * (1.0 + params.up) / (1.0 + params.rate)
         else:
             result = pricing.be_price(params, spec, config.periods)
-    except CliInputError as exc:
+    except (CliInputError, OverflowError) as exc:
         click.echo(str(exc), err=True)
         sys.exit(2)
 
@@ -343,6 +330,8 @@ def disk(config_path: str | None, dump_config: bool, **flags: Any) -> None:
 @run_options
 def verify(config_path: str | None, dump_config: bool, **flags: Any) -> None:
     """Run the oracle agreement suites and report max deviations."""
+    from . import oracle
+
     try:
         config = _start(config_path, dump_config, **flags)
         if config is None:
@@ -422,7 +411,7 @@ def sweep(config_path: str | None, dump_config: bool, **flags: Any) -> None:
         series = pricing.convergence_sweep(
             params, CallSpec(config.strike), config.periods, config.model
         )
-    except CliInputError as exc:
+    except (CliInputError, OverflowError) as exc:
         click.echo(str(exc), err=True)
         sys.exit(2)
 

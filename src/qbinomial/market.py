@@ -10,8 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .bloch import (
     TOL,
@@ -22,6 +21,9 @@ from .bloch import (
     is_faithful,
     make_observable,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 # Tolerance on the plane constraint for membership tests; matches the
 # bloch construction tolerance so membership survives round-trips.
@@ -168,6 +170,8 @@ def disk_contains(
 
 def _in_plane_frame(normal: BlochVector) -> tuple[np.ndarray, np.ndarray]:
     """Deterministic orthonormal pair spanning the plane orthogonal to normal."""
+    import numpy as np
+
     n = normal.as_array()
     seed_axis = np.zeros(3)
     seed_axis[int(np.argmin(np.abs(n)))] = 1.0
@@ -190,6 +194,8 @@ def sample_disk(disk: RiskNeutralDisk, count: int, seed: int) -> list[DensitySta
         return []
     if disk.radius <= 0.0:
         raise ValueError("cannot sample a degenerate disk")
+    import numpy as np
+
     rng = np.random.default_rng(seed)
     e1, e2 = _in_plane_frame(disk.normal)
     center = disk.normal.as_array() * disk.plane_offset

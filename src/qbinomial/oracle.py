@@ -20,7 +20,6 @@ import numpy as np
 
 from . import pricing
 from .bloch import (
-    I2,
     TOL,
     BlochVector,
     DensityState,
@@ -44,6 +43,8 @@ from .pricing import CallSpec
 # enumeration; chosen so the full verification suite runs in seconds.
 DENSE_CAP = 12
 PATH_CAP = 25
+
+I2 = np.eye(2, dtype=complex)
 
 
 def _check_dense_cap(periods: int) -> None:

@@ -10,9 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Literal
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, Literal
 
 from .bloch import DensityState, TwoLevelObservable, eigenbasis, expectation
 from .market import (
@@ -20,7 +18,12 @@ from .market import (
     ClassicalModel,
     MarketParams,
     classical_risk_neutral_q,
+    default_observable,
+    risk_neutral_disk,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 Model = Literal["classical", "quantum_single", "mb", "be"]
 
@@ -67,16 +70,20 @@ def call_two_point(params: MarketParams, spec: CallSpec) -> TwoPointPayoff:
     return TwoPointPayoff(at_down=at_down, at_up=at_up)
 
 
-def single_period_price(params: MarketParams, payoff: TwoPointPayoff) -> PricingResult:
+def single_period_price(
+    params: MarketParams, payoff: TwoPointPayoff, *, model: Model = "quantum_single"
+) -> PricingResult:
     """Discounted risk-neutral expectation of a one-period payoff.
 
     This is the state-independent price: every state in the risk-neutral
-    disk gives the same number (see single_period_trace_price).
+    disk gives the same number (see single_period_trace_price). The
+    classical risk-neutral price is the same number, so `model` only
+    labels the result.
     """
     q = classical_risk_neutral_q(params)
     discount = 1.0 / (1.0 + params.rate)
     price = discount * (q * payoff.at_up + (1.0 - q) * payoff.at_down)
-    return PricingResult(price=price, discounted_by=discount, model="quantum_single", periods=1)
+    return PricingResult(price=price, discounted_by=discount, model=model, periods=1)
 
 
 def single_period_trace_price(
@@ -95,9 +102,25 @@ def single_period_trace_price(
         raise ValueError("observable values must match the market's (down, up)")
     if abs(expectation(state, obs) - params.rate) >= MEMBERSHIP_TOL:
         raise ValueError("state is not risk-neutral for this market")
+    import numpy as np
+
     u, v = eigenbasis(obs)
     h = payoff.at_up * np.outer(u, u.conj()) + payoff.at_down * np.outer(v, v.conj())
     return float(np.trace(state.matrix() @ h).real) / (1.0 + params.rate)
+
+
+def quantum_single_price(params: MarketParams, payoff: TwoPointPayoff) -> PricingResult:
+    """One-period price as the dense trace at the center of the risk-neutral disk.
+
+    Uses the default (+z) return observable; any state of the disk would
+    give the same price.
+    """
+    obs = default_observable(params)
+    disk = risk_neutral_disk(params, obs)
+    price = single_period_trace_price(params, payoff, DensityState(disk.center()), obs)
+    return PricingResult(
+        price=price, discounted_by=1.0 / (1.0 + params.rate), model="quantum_single", periods=1
+    )
 
 
 def classical_expected_price(model: ClassicalModel, payoff: TwoPointPayoff) -> float:
@@ -245,6 +268,8 @@ def be_weights(params: MarketParams, periods: int) -> np.ndarray:
     A geometric-ratio family indexed by the up-move count n; no binomial
     coefficients appear.
     """
+    import numpy as np
+
     q = classical_risk_neutral_q(params)
     return np.array(lattice_weights(periods, q, binomial=False))
 

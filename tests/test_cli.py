@@ -6,6 +6,7 @@ import io
 import json
 import math
 
+import pytest
 from click.testing import CliRunner
 
 import qbinomial.oracle as oracle_module
@@ -92,6 +93,25 @@ def test_price_invalid_market_diagnostics():
 
     bad_flag = _invoke(["price", "--periods", "x"])
     assert bad_flag.exit_code == 2
+
+
+@pytest.mark.parametrize(
+    "args,first_overflow",
+    [
+        # 100 * 1.2^5000 is far beyond the float range.
+        (["price", "--model", "be", *REFERENCE_FLAGS, "--periods", "5000"], 5000),
+        # With 1 + up = 10 the all-up price 100 * 10^N leaves the float range at N=307.
+        (["sweep", "--model", "mb", "--a", "-0.1", "--b", "9", "--r", "0.05", "--periods", "400"], 307),
+    ],
+)
+def test_terminal_price_overflow_is_invalid_input(args, first_overflow):
+    result = _invoke(args)
+    assert result.exit_code == 2
+    assert result.stderr.splitlines() == [
+        f"terminal prices exceed the float range at N={first_overflow}"
+    ]
+    assert "Traceback" not in result.output
+    assert result.stdout == ""
 
 
 def test_disk_reference_radius():
