@@ -134,6 +134,12 @@ def default_observable(params: MarketParams) -> TwoLevelObservable:
     return make_observable(params.down, params.up, BlochVector(0.0, 0.0, 1.0))
 
 
+def check_observable(params: MarketParams, obs: TwoLevelObservable) -> None:
+    """Raise ValueError unless the observable takes the market's (down, up) values."""
+    if abs(obs.low - params.down) > TOL or abs(obs.high - params.up) > TOL:
+        raise ValueError("observable values must match the market's (down, up)")
+
+
 def risk_neutral_disk(params: MarketParams, obs: TwoLevelObservable) -> RiskNeutralDisk:
     """Geometry of the set of risk-neutral states for the given observable.
 
@@ -142,8 +148,7 @@ def risk_neutral_disk(params: MarketParams, obs: TwoLevelObservable) -> RiskNeut
     cuts the open unit ball. Raises when the disk is empty, which happens
     exactly when the market admits arbitrage.
     """
-    if abs(obs.low - params.down) > TOL or abs(obs.high - params.up) > TOL:
-        raise ValueError("observable values must match the market's (down, up)")
+    check_observable(params, obs)
     if not is_arbitrage_free(params):
         # exact threshold comparison on the raw parameters: the derived
         # plane offset can round a hair below 1 right at rate == up

@@ -5,8 +5,8 @@ stock operator on (C^2)^(x)N, product risk-neutral states, projector
 sums enumerated subset by subset, the symmetric-subspace compression
 used by the Bose-Einstein model, and plain 2^N path enumeration of the
 classical model. No weight or price route from the pricing module is
-reused, only its terminal-price ladder; exactness and auditability are
-the point, not speed.
+reused, only its terminal-price ladder and discount factor; exactness
+and auditability are the point, not speed.
 """
 from __future__ import annotations
 
@@ -32,6 +32,7 @@ from .bloch import (
 from .market import (
     MEMBERSHIP_TOL,
     MarketParams,
+    check_observable,
     classical_risk_neutral_q,
     default_observable,
     risk_neutral_disk,
@@ -168,8 +169,7 @@ def oracle_price_mb(
     clipped = np.maximum(eigvals - spec.strike, 0.0)
     payoff_op = (eigvecs * clipped) @ eigvecs.conj().T
     rho = build_product_state(states)
-    discount = (1.0 + params.rate) ** (-periods)
-    return discount * float(np.trace(rho @ payoff_op).real)
+    return pricing.discount_factor(params.rate, periods) * float(np.trace(rho @ payoff_op).real)
 
 
 def symmetric_isometry(
@@ -226,12 +226,11 @@ def oracle_price_be(
     """
     if obs is None:
         obs = default_observable(params)
-    if abs(obs.low - params.down) > TOL or abs(obs.high - params.up) > TOL:
-        raise ValueError("observable values must match the market's (down, up)")
+    check_observable(params, obs)
     _check_risk_neutral(params, state, obs, "state")
     compressed = build_symmetric_be_state(state, obs, periods)
     payoffs = np.maximum(np.array(pricing.terminal_prices(params, periods)) - spec.strike, 0.0)
-    discount = (1.0 + params.rate) ** (-periods)
+    discount = pricing.discount_factor(params.rate, periods)
     return discount * float(np.trace(compressed @ np.diag(payoffs)).real)
 
 
@@ -240,22 +239,13 @@ def classical_path_enumeration(
 ) -> float:
     """Discounted call value summed over all 2^N up/down paths.
 
-    Each path carries weight q^ups (1-q)^downs computed from scratch;
-    nothing is grouped by up-move count, so agreement with the binomial
-    sum genuinely checks the combinatorics.
+    The weights come from enumerate_path_outcomes, which walks every path
+    and never computes a binomial coefficient, so agreement with the
+    binomial sum genuinely checks the combinatorics.
     """
-    if periods < 1:
-        raise ValueError("periods must be >= 1")
-    if periods > PATH_CAP:
-        raise ValueError(f"N={periods} exceeds path enumeration cap ({PATH_CAP})")
-    q = classical_risk_neutral_q(params)
-    terminal = pricing.terminal_prices(params, periods)
-    total = 0.0
-    for mask in range(2**periods):
-        ups = mask.bit_count()
-        weight = q**ups * (1.0 - q) ** (periods - ups)
-        total += weight * max(0.0, terminal[ups] - spec.strike)
-    return total / (1.0 + params.rate) ** periods
+    outcomes = enumerate_path_outcomes(params, periods)
+    total = sum(o.weight * max(0.0, o.terminal_price - spec.strike) for o in outcomes)
+    return total * pricing.discount_factor(params.rate, periods)
 
 
 @dataclass(frozen=True)

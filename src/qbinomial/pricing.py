@@ -8,7 +8,9 @@ weights are a normalized geometric family rather than binomial terms.
 """
 from __future__ import annotations
 
+import bisect
 import math
+import sys
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Literal
 
@@ -17,6 +19,7 @@ from .market import (
     MEMBERSHIP_TOL,
     ClassicalModel,
     MarketParams,
+    check_observable,
     classical_risk_neutral_q,
     default_observable,
     risk_neutral_disk,
@@ -98,8 +101,7 @@ def single_period_trace_price(
     return observable. The supplied state must lie in the risk-neutral
     disk; the result then equals single_period_price within 1e-12.
     """
-    if abs(obs.low - params.down) > 1e-9 or abs(obs.high - params.up) > 1e-9:
-        raise ValueError("observable values must match the market's (down, up)")
+    check_observable(params, obs)
     if abs(expectation(state, obs) - params.rate) >= MEMBERSHIP_TOL:
         raise ValueError("state is not risk-neutral for this market")
     import numpy as np
@@ -184,6 +186,17 @@ def terminal_prices(params: MarketParams, periods: int) -> list[float]:
     return prices
 
 
+def discount_factor(rate: float, periods: int) -> float:
+    """(1+rate)^-N; OverflowError naming N when it leaves the range of normal floats."""
+    try:
+        factor = (1.0 + rate) ** -periods
+    except OverflowError:
+        factor = math.inf
+    if not sys.float_info.min <= factor < math.inf:
+        raise OverflowError(f"discount factor (1+r)^-N leaves the float range at N={periods}")
+    return factor
+
+
 def complementary_binomial(m: int, n: int, p: float) -> float:
     """Upper binomial tail: sum of C(n,j) p^j (1-p)^(n-j) for j = m..n.
 
@@ -221,7 +234,7 @@ def _lattice_expectation(
     prices = terminal_prices(params, periods)
     weights = lattice_weights(periods, q, binomial)
     total = sum(w * payoff(s) for w, s in zip(weights, prices) if w)
-    return total / (1.0 + params.rate) ** periods
+    return total * discount_factor(params.rate, periods)
 
 
 def mb_payoff_price(
@@ -248,7 +261,7 @@ def mb_price(params: MarketParams, spec: CallSpec, periods: int) -> PricingResul
     q = classical_risk_neutral_q(params)
     q_prime = q * (1.0 + params.up) / (1.0 + params.rate)
     tau = crr_cutoff_tau(params, spec, periods)
-    discount = (1.0 + params.rate) ** (-periods)
+    discount = discount_factor(params.rate, periods)
     closed = (
         params.stock_initial * complementary_binomial(tau, periods, q_prime)
         - spec.strike * discount * complementary_binomial(tau, periods, q)
@@ -286,7 +299,7 @@ def be_payoff_price(
 def be_price(params: MarketParams, spec: CallSpec, periods: int) -> PricingResult:
     """N-period Bose-Einstein call price (identical-particle statistics)."""
     price = be_payoff_price(params, lambda s: max(0.0, s - spec.strike), periods)
-    discount = (1.0 + params.rate) ** (-periods)
+    discount = discount_factor(params.rate, periods)
     return PricingResult(price=price, discounted_by=discount, model="be", periods=periods)
 
 
@@ -299,7 +312,8 @@ def convergence_sweep(
     """Prices for N = 1..max_periods with the per-period (down, up, rate) held fixed.
 
     No rescaling with N is performed, so this sweeps the fixed-parameter
-    family rather than approaching a continuous-time limit.
+    family rather than approaching a continuous-time limit. If some N leaves
+    the float range, OverflowError names the first one before any pricing.
     """
     if max_periods < 1:
         raise ValueError("max_periods must be >= 1")
@@ -309,4 +323,16 @@ def convergence_sweep(
         pricer = be_price
     else:
         raise ValueError(f"model {model!r} is single-period; sweep needs 'mb' or 'be'")
+
+    def range_error(n: int) -> OverflowError | None:
+        try:
+            terminal_prices(params, n)
+            discount_factor(params.rate, n)
+        except OverflowError as exc:
+            return exc
+        return None
+
+    if range_error(max_periods):  # each test fails for every N from some N on
+        first = 1 + bisect.bisect_left(range(1, max_periods + 1), True, key=lambda n: bool(range_error(n)))
+        raise range_error(first)
     return [(n, pricer(params, spec, n).price) for n in range(1, max_periods + 1)]

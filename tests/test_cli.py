@@ -3,8 +3,11 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import json
 import math
+import shlex
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -279,3 +282,62 @@ def test_dump_config_round_trip(tmp_path):
     redumped = _invoke(["price", "--config", str(path), "--dump-config"])
     assert redumped.exit_code == 0
     assert json.loads(redumped.stdout) == first
+
+
+@pytest.mark.parametrize(
+    "config,flags,key",
+    [
+        ('{"strike": "abc"}', [], "strike"),
+        ('{"seed": "x"}', [], "seed"),
+        ('{"market": {"rate": null}}', [], "market.rate"),
+        ('{"periods": true}', [], "periods"),
+        ('{"samples": [1]}', [], "samples"),
+        ('{"strike": Infinity}', [], "strike"),
+        ('{"market": {"down": NaN}}', [], "market.down"),
+        pytest.param('{"strike": 1%s}' % ("0" * 400), [], "strike", id="integer-beyond-float-range"),
+        (None, ["--b", "inf"], "market.up"),
+        (None, ["--s0", "inf"], "market.stock_initial"),
+        (None, ["--r", "nan"], "market.rate"),
+    ],
+)
+def test_malformed_values_are_invalid_input(tmp_path, config, flags, key):
+    args = ["price", *flags]
+    if config is not None:
+        path = tmp_path / "run.json"
+        path.write_text(config)
+        args += ["--config", str(path)]
+    result = _invoke(args)
+    assert result.exit_code == 2
+    assert result.stderr.splitlines() == [f"{key} is not a finite number"]
+    assert result.stdout == ""
+
+
+@pytest.mark.parametrize("model", ["mb", "be"])
+def test_discount_overflow_is_invalid_input(model):
+    result = _invoke(
+        ["price", "--model", model, "--r", "-0.99", "--a", "-0.999", "--b", "0.5", "--periods", "200"]
+    )
+    assert result.exit_code == 2
+    assert result.stderr.splitlines() == [
+        "discount factor (1+r)^-N leaves the float range at N=200"
+    ]
+    assert result.stdout == ""
+
+
+def test_verify_lattice_overflow_is_invalid_input():
+    # 1e307 * 2^5 leaves the float range; the dense oracles stop at N=12.
+    result = _invoke(["verify", "--s0", "1e307", "--b", "1", "--periods", "5"])
+    assert result.exit_code == 2
+    assert result.stderr.splitlines() == ["terminal prices exceed the float range at N=5"]
+    assert result.stdout == ""
+
+
+def test_readme_cli_example_matches_its_output():
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    block = readme.split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    command, *lines = block.splitlines()
+    expected = [line[2:] for line in itertools.takewhile(lambda line: line.startswith("# "), lines)]
+    assert command.startswith("qbinomial ")
+    result = _invoke(shlex.split(command)[1:])
+    assert result.exit_code == 0
+    assert result.stdout.splitlines() == expected

@@ -14,6 +14,7 @@ import mpmath
 import numpy as np
 import pytest
 
+import qbinomial.pricing as pricing_module
 from conftest import REFERENCE, random_market, random_strike, random_unit
 from qbinomial import (
     CallSpec,
@@ -431,3 +432,28 @@ def test_terminal_price_overflow_raises_named_regime(route):
     # 100 * 1.2^5000 is far beyond the float range.
     with pytest.raises(OverflowError, match="N=5000"):
         _route_value(route, REFERENCE, 5000)
+
+
+@pytest.mark.parametrize("route", ROUTES)
+@pytest.mark.parametrize(
+    "params,periods",
+    [
+        # 0.01^-200 = 1e400 overflows while every terminal price stays finite.
+        (MarketParams(1.0, 100.0, -0.99, -0.999, 0.5), 200),
+        # 2^-1023 is below the smallest normal float; 2.0001^1023 is still finite.
+        (MarketParams(1.0, 1.0, 1.0, 0.5, 1.0001), 1023),
+    ],
+)
+def test_discount_factor_outside_float_range_raises_named_regime(route, params, periods):
+    with pytest.raises(OverflowError, match=f"discount factor .* at N={periods}$"):
+        _route_value(route, params, periods)
+
+
+def test_sweep_names_first_overflow_before_pricing_any_period(monkeypatch):
+    def unexpected(*args):
+        raise AssertionError("the sweep priced a period before checking the float range")
+
+    monkeypatch.setattr(pricing_module, "mb_price", unexpected)
+    # 100 * 1.2^N first leaves the float range at N=3868.
+    with pytest.raises(OverflowError, match="terminal prices exceed the float range at N=3868$"):
+        convergence_sweep(REFERENCE, CALL, 5000, "mb")
