@@ -72,11 +72,6 @@ class BlochVector:
             raise ValueError("cannot normalize the zero vector")
         return self.scaled(1.0 / n)
 
-    def as_array(self) -> np.ndarray:
-        import numpy as np
-
-        return np.array([self.x, self.y, self.z])
-
     def pauli_matrix(self) -> np.ndarray:
         """x*sigma_x + y*sigma_y + z*sigma_z as a dense 2x2."""
         _, sigma_x, sigma_y, sigma_z = _pauli_basis()

@@ -81,6 +81,7 @@ _CHECKS: list[tuple[Callable[[dict[str, Any]], bool], str]] = [
     (lambda s: s["strike"] > 0, "strike <= 0: invalid option"),
     (lambda s: s["periods"] == int(s["periods"]) and s["periods"] >= 1, "periods < 1: invalid run"),
     (lambda s: s["samples"] == int(s["samples"]) and s["samples"] >= 0, "samples < 0: invalid run"),
+    (lambda s: s["seed"] == int(s["seed"]) and s["seed"] >= 0, "seed < 0: invalid run"),
     (lambda s: s["model"] in MODELS, "unknown model: {model}"),
     (lambda s: s["output_format"] in OUTPUT_FORMATS, "unknown output format: {output_format}"),
 ]

@@ -8,9 +8,9 @@ module builds that disk, tests membership, and samples it.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 from .bloch import (
     TOL,
@@ -21,9 +21,6 @@ from .bloch import (
     is_faithful,
     make_observable,
 )
-
-if TYPE_CHECKING:
-    import numpy as np
 
 # Tolerance on the plane constraint for membership tests; matches the
 # bloch construction tolerance so membership survives round-trips.
@@ -173,17 +170,59 @@ def disk_contains(
     return is_faithful(state) and abs(expectation(state, obs) - rate) < MEMBERSHIP_TOL
 
 
-def _in_plane_frame(normal: BlochVector) -> tuple[np.ndarray, np.ndarray]:
-    """Deterministic orthonormal pair spanning the plane orthogonal to normal."""
-    import numpy as np
+_MASK32, _MASK64, _MASK128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1
+_PCG64_MULTIPLIER = 0x2360ED051FC65DA44385DF649FCCF645
 
-    n = normal.as_array()
-    seed_axis = np.zeros(3)
-    seed_axis[int(np.argmin(np.abs(n)))] = 1.0
-    e1 = seed_axis - np.dot(seed_axis, n) * n
-    e1 /= np.linalg.norm(e1)
-    e2 = np.cross(n, e1)
-    return e1, e2
+
+class _Pcg64:
+    """The uniform() stream of numpy.random.default_rng(seed), bit for bit, without numpy.
+
+    numpy's SeedSequence hashes the seed into four 32-bit pool words and
+    expands them into eight more; those seed PCG64 (O'Neill 2014), a
+    128-bit LCG whose state is emitted through the XSL-RR output function.
+    """
+
+    def __init__(self, seed: int) -> None:
+        if seed < 0:
+            raise ValueError("expected non-negative integer")
+        entropy = [seed >> shift & _MASK32 for shift in range(0, max(seed.bit_length(), 1), 32)]
+        const, multiplier = 0x43B0D7E5, 0x931E8875
+
+        def hashmix(value: int) -> int:
+            nonlocal const
+            value ^= const
+            const = const * multiplier & _MASK32
+            value = value * const & _MASK32
+            return value ^ value >> 16
+
+        pool = [hashmix(word) for word in (entropy + [0] * 4)[:4]]
+        extra = itertools.product(range(4, len(entropy)), range(4))  # seeds of 2^128 and up
+        for src, dst in [*itertools.permutations(range(4), 2), *extra]:
+            value = hashmix(pool[src] if src < 4 else entropy[src])
+            mixed = (0xCA01F9DD * pool[dst] - 0x4973F715 * value) & _MASK32
+            pool[dst] = mixed ^ mixed >> 16
+        const, multiplier = 0x8B51F9DD, 0x58F38DED  # generate_state's own hash constants
+        w = [hashmix(pool[i % 4]) for i in range(8)]
+        state, stream = (w[k] << 64 | w[k + 1] << 96 | w[k + 2] | w[k + 3] << 32 for k in (0, 4))
+        self._inc = (stream << 1 | 1) & _MASK128
+        self._state = ((self._inc + state) * _PCG64_MULTIPLIER + self._inc) & _MASK128
+
+    def uniform(self, low: float = 0.0, high: float = 1.0) -> float:
+        self._state = state = (self._state * _PCG64_MULTIPLIER + self._inc) & _MASK128
+        word, rotation = (state >> 64 ^ state) & _MASK64, state >> 122
+        word = (word >> rotation | word << (64 - rotation)) & _MASK64
+        return low + (high - low) * ((word >> 11) * 2.0**-53)
+
+
+def _in_plane_frame(normal: BlochVector) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """Deterministic orthonormal pair spanning the plane orthogonal to normal."""
+    n = (normal.x, normal.y, normal.z)
+    axis = min(range(3), key=lambda i: abs(n[i]))
+    e1 = [(1.0 if i == axis else 0.0) - n[axis] * n[i] for i in range(3)]
+    length = math.sqrt(sum(c * c for c in e1))
+    e1 = [c / length for c in e1]
+    e2 = (n[1] * e1[2] - n[2] * e1[1], n[2] * e1[0] - n[0] * e1[2], n[0] * e1[1] - n[1] * e1[0])
+    return tuple(e1), e2
 
 
 def sample_disk(disk: RiskNeutralDisk, count: int, seed: int) -> list[DensityState]:
@@ -191,7 +230,8 @@ def sample_disk(disk: RiskNeutralDisk, count: int, seed: int) -> list[DensitySta
 
     Uniformity comes from the radial inverse CDF (radius * sqrt(U)) over
     in-plane polar coordinates; radii are scaled strictly below the
-    boundary. Deterministic for a fixed seed.
+    boundary. Deterministic for a fixed seed, which must be nonnegative;
+    the samples are those numpy.random.default_rng(seed) would draw.
     """
     if count < 0:
         raise ValueError("count must be nonnegative")
@@ -199,15 +239,15 @@ def sample_disk(disk: RiskNeutralDisk, count: int, seed: int) -> list[DensitySta
         return []
     if disk.radius <= 0.0:
         raise ValueError("cannot sample a degenerate disk")
-    import numpy as np
-
-    rng = np.random.default_rng(seed)
+    rng = _Pcg64(seed)
     e1, e2 = _in_plane_frame(disk.normal)
-    center = disk.normal.as_array() * disk.plane_offset
+    center = disk.center()
+    center_xyz = (center.x, center.y, center.z)
     states = []
     for _ in range(count):
         radial = disk.radius * math.sqrt(rng.uniform()) * _INTERIOR_MARGIN
         angle = rng.uniform(0.0, 2.0 * math.pi)
-        point = center + radial * (math.cos(angle) * e1 + math.sin(angle) * e2)
+        cos, sin = math.cos(angle), math.sin(angle)
+        point = (c + radial * (cos * a + sin * b) for c, a, b in zip(center_xyz, e1, e2))
         states.append(DensityState(BlochVector(*point)))
     return states

@@ -170,20 +170,26 @@ def lattice_weights(periods: int, p: float, binomial: bool) -> list[float]:
     return [w / total for w in weights]
 
 
+def _price_ladder(params: MarketParams, periods: int) -> tuple[float, float, float]:
+    """(S0, 1+up, 1+down), or OverflowError naming N if the all-up price S0 (1+up)^N
+    is not finite; the ladder increases in n, so no other price can leave the range."""
+    s0, grow, shrink = params.stock_initial, 1.0 + params.up, 1.0 + params.down
+    try:
+        top = s0 * grow**periods
+    except OverflowError:
+        top = math.inf
+    if top == math.inf:
+        raise OverflowError(f"terminal prices exceed the float range at N={periods}")
+    return s0, grow, shrink
+
+
 def terminal_prices(params: MarketParams, periods: int) -> list[float]:
     """Terminal stock prices S0 (1+up)^n (1+down)^(N-n) for n = 0..N.
 
-    Raises OverflowError naming N when the all-up price leaves the float
-    range; the ladder increases in n, so no other price can.
+    Raises OverflowError naming N when the all-up price leaves the float range.
     """
-    s0, grow, shrink = params.stock_initial, 1.0 + params.up, 1.0 + params.down
-    try:
-        prices = [s0 * grow**n * shrink ** (periods - n) for n in range(periods + 1)]
-    except OverflowError:
-        prices = [math.inf]
-    if prices[-1] == math.inf:
-        raise OverflowError(f"terminal prices exceed the float range at N={periods}")
-    return prices
+    s0, grow, shrink = _price_ladder(params, periods)
+    return [s0 * grow**n * shrink ** (periods - n) for n in range(periods + 1)]
 
 
 def discount_factor(rate: float, periods: int) -> float:
@@ -217,8 +223,11 @@ def crr_cutoff_tau(params: MarketParams, spec: CallSpec, periods: int) -> int:
     """
     if periods < 1:
         raise ValueError("periods must be >= 1")
-    prices = terminal_prices(params, periods)
-    return next((n for n, s in enumerate(prices) if s > spec.strike), periods + 1)
+    s0, grow, shrink = _price_ladder(params, periods)
+    # terminal_prices' expression, so tau matches its n-th price bit for bit
+    return bisect.bisect_right(
+        range(periods + 1), spec.strike, key=lambda n: s0 * grow**n * shrink ** (periods - n)
+    )
 
 
 def _lattice_expectation(

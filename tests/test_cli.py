@@ -117,6 +117,20 @@ def test_terminal_price_overflow_is_invalid_input(args, first_overflow):
     assert result.stdout == ""
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["disk", *REFERENCE_FLAGS, "--samples", "2", "--seed", "-1"],
+        ["verify", *REFERENCE_FLAGS, "--periods", "2", "--seed", "-1"],
+    ],
+)
+def test_negative_seed_is_invalid_input(args):
+    result = _invoke(args)
+    assert result.exit_code == 2
+    assert result.stderr.splitlines() == ["seed < 0: invalid run"]
+    assert result.stdout == ""
+
+
 def test_disk_reference_radius():
     result = _invoke(["disk", *REFERENCE_FLAGS])
     assert result.exit_code == 0

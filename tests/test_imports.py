@@ -1,8 +1,8 @@
 """Which entry points load numpy.
 
-Scalar pricing (the package import, the CLI import, and the price, sweep
-and sample-free disk commands) never loads numpy; the dense paths load it
-on first use and still work. Each check runs in a fresh interpreter,
+Scalar pricing and disk sampling (the package import, the CLI import, and
+the price, sweep and disk commands) never load numpy; the dense paths load
+it on first use and still work. Each check runs in a fresh interpreter,
 because this test process has numpy loaded already.
 """
 from __future__ import annotations
@@ -27,6 +27,7 @@ NUMPY_FREE_COMMANDS = [
     ["price", "--model", "classical"],
     ["sweep", "--periods", "20"],
     ["disk", "--samples", "0"],
+    ["disk", "--samples", "4"],
 ]
 
 
@@ -71,7 +72,6 @@ print(json.dumps(loaded_by))
 @pytest.mark.parametrize(
     "argv",
     [
-        ["disk", "--samples", "4"],
         ["price", "--model", "quantum_single"],
         ["verify", "--periods", "3"],
     ],

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+import qbinomial.market as market_module
 from conftest import REFERENCE, random_market, random_unit
 from qbinomial import (
     BlochVector,
@@ -193,6 +194,64 @@ def test_sample_disk_membership_and_determinism():
         assert [s.bloch for s in states] == [s.bloch for s in again]
         other = sample_disk(disk, 100, 100)
         assert [s.bloch for s in states] != [s.bloch for s in other]
+
+
+STREAM_SEEDS = [0, 2**31 - 1, 2**32, 2**64 + 5, 2**130 + 11]
+
+
+def test_sample_stream_matches_numpy_default_rng():
+    rng = np.random.default_rng(35)
+    seeds = STREAM_SEEDS + [int(rng.integers(2**63)) >> int(rng.integers(64)) for _ in range(200)]
+    for seed in seeds:
+        ours, numpy_rng = market_module._Pcg64(seed), np.random.default_rng(seed)
+        for _ in range(10):
+            assert ours.uniform() == numpy_rng.uniform()
+            assert ours.uniform(0.0, 2.0 * math.pi) == numpy_rng.uniform(0.0, 2.0 * math.pi)
+
+
+def _numpy_sample_disk(disk, count, seed):
+    """sample_disk computed with numpy arrays and numpy's generator: the bit-level reference."""
+    n = np.array([disk.normal.x, disk.normal.y, disk.normal.z])
+    axis = np.zeros(3)
+    axis[int(np.argmin(np.abs(n)))] = 1.0
+    e1 = axis - np.dot(axis, n) * n
+    e1 /= np.linalg.norm(e1)
+    e2 = np.cross(n, e1)
+    center = n * disk.plane_offset
+    rng = np.random.default_rng(seed)
+    points = []
+    for _ in range(count):
+        radial = disk.radius * math.sqrt(rng.uniform()) * market_module._INTERIOR_MARGIN
+        angle = rng.uniform(0.0, 2.0 * math.pi)
+        points.append(center + radial * (math.cos(angle) * e1 + math.sin(angle) * e2))
+    return points
+
+
+def test_sample_disk_on_the_default_observable_matches_numpy_bits():
+    rng = np.random.default_rng(36)
+    for seed in STREAM_SEEDS + [int(rng.integers(2**31)) for _ in range(60)]:
+        params = random_market(rng)
+        disk = risk_neutral_disk(params, default_observable(params))
+        ours = [s.bloch for s in sample_disk(disk, 5, seed)]
+        for bloch, point in zip(ours, _numpy_sample_disk(disk, 5, seed), strict=True):
+            # compare reprs so that the sign of a zero counts too
+            assert repr((bloch.x, bloch.y, bloch.z)) == repr(tuple(map(float, point)))
+
+
+def test_sample_frame_is_orthonormal_off_the_axes():
+    rng = np.random.default_rng(37)
+    for _ in range(200):
+        normal = random_unit(rng)
+        n = (normal.x, normal.y, normal.z)
+        e1, e2 = market_module._in_plane_frame(normal)
+        for a, b, expected in [(e1, e1, 1), (e2, e2, 1), (e1, e2, 0), (e1, n, 0), (e2, n, 0)]:
+            assert abs(sum(x * y for x, y in zip(a, b)) - expected) < 1e-15
+
+
+def test_sample_disk_rejects_a_negative_seed():
+    disk = risk_neutral_disk(REFERENCE, default_observable(REFERENCE))
+    with pytest.raises(ValueError, match="non-negative"):
+        sample_disk(disk, 2, -1)
 
 
 def test_sampled_states_price_stock_at_riskless_rate():

@@ -186,6 +186,26 @@ def test_crr_cutoff_tau():
         crr_cutoff_tau(REFERENCE, CALL, 0)
 
 
+def test_crr_cutoff_tau_matches_linear_scan():
+    rng = np.random.default_rng(61)
+    for case in range(600):
+        if case % 3 == 2:
+            # down = -1: every price but the all-up one is 0
+            params = MarketParams(
+                1.0, rng.uniform(20.0, 250.0), rng.uniform(-0.5, 0.5), -1.0, rng.uniform(0.6, 2.0)
+            )
+        else:
+            params = random_market(rng)
+        periods = int(rng.integers(1, 600 if params.down == -1.0 else 1000))  # inside the float range
+        prices = pricing_module.terminal_prices(params, periods)
+        index = int(rng.integers(periods + 1))
+        for strike in (random_strike(params, rng), prices[index], math.nextafter(prices[index], 0.0)):
+            if strike <= 0.0:
+                continue
+            linear = next((n for n, s in enumerate(prices) if s > strike), periods + 1)
+            assert crr_cutoff_tau(params, CallSpec(strike), periods) == linear
+
+
 def test_mb_price_reference_two_periods():
     result = mb_price(REFERENCE, CALL, 2)
     assert abs(result.price - MB_TWO_PERIOD_CALL) < 1e-10
