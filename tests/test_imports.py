@@ -74,6 +74,7 @@ print(json.dumps(loaded_by))
     [
         ["price", "--model", "quantum_single"],
         ["verify", "--periods", "3"],
+        ["verify", "--periods", "1"],
     ],
 )
 def test_dense_commands_load_numpy_on_first_use(argv):
