@@ -14,7 +14,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import reduce
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -59,13 +59,28 @@ def _kron_chain(factors: Sequence[np.ndarray]) -> np.ndarray:
     return reduce(np.kron, factors)
 
 
-def _unit_directions(directions: Sequence[BlochVector]) -> list[BlochVector]:
-    out = []
+def _unit_directions(
+    directions: Sequence[BlochVector], states: Sequence[DensityState] | None = None
+) -> list[BlochVector]:
+    """The directions, checked one per state (if given), within the cap and unit norm."""
+    if states is not None and len(states) != len(directions):
+        raise ValueError("need one direction per state")
+    _check_dense_cap(len(directions))
     for d in directions:
         if abs(d.norm() - 1.0) > TOL:
             raise ValueError(f"direction {d} is not unit norm")
-        out.append(d)
-    return out
+    return list(directions)
+
+
+def _placements(pairs: Sequence[tuple[np.ndarray, np.ndarray]], n: int) -> Iterator[np.ndarray]:
+    """Yield (x)_j (pairs[j][0] if j in A else pairs[j][1]) for every n-subset A."""
+    for subset in itertools.combinations(range(len(pairs)), n):
+        yield _kron_chain([high if j in subset else low for j, (high, low) in enumerate(pairs)])
+
+
+def _trace_product(a: np.ndarray, b: np.ndarray) -> float:
+    """Re tr(ab), summed elementwise in O(size) instead of via a matrix product."""
+    return float(np.sum(a.T * b).real)
 
 
 def build_stock_operator(
@@ -79,11 +94,7 @@ def build_stock_operator(
     multiplicities.
     """
     dirs = _unit_directions(directions)
-    _check_dense_cap(len(dirs))
-    factors = []
-    for d in dirs:
-        obs = make_observable(params.down, params.up, d)
-        factors.append(I2 + obs.matrix())
+    factors = [I2 + make_observable(params.down, params.up, d).matrix() for d in dirs]
     return params.stock_initial * _kron_chain(factors)
 
 
@@ -111,28 +122,14 @@ def mb_weight(
 
     The projector sum runs over every subset of exactly n factors, each
     term the tensor product of high-eigenvector projectors on the subset
-    and low-eigenvector projectors elsewhere, enumerated by bitmask. For
-    risk-neutral factors this equals C(N,n) q^n (1-q)^(N-n).
+    and low-eigenvector projectors elsewhere, enumerated by combinations.
+    For risk-neutral factors this equals C(N,n) q^n (1-q)^(N-n).
     """
-    count = len(states)
-    if len(directions) != count:
-        raise ValueError("need one direction per state")
-    dirs = _unit_directions(directions)
-    _check_dense_cap(count)
-    if not 0 <= n <= count:
+    dirs = _unit_directions(directions, states)
+    if not 0 <= n <= len(dirs):
         raise ValueError("n must lie in [0, N]")
-    rho = build_product_state(states)
-    projectors = [_eigenprojectors(d) for d in dirs]
-    proj_sum = np.zeros((2**count, 2**count), dtype=complex)
-    for mask in range(2**count):
-        if mask.bit_count() != n:
-            continue
-        factors = [
-            projectors[j][0] if (mask >> j) & 1 else projectors[j][1]
-            for j in range(count)
-        ]
-        proj_sum += _kron_chain(factors)
-    return float(np.trace(rho @ proj_sum).real)
+    proj_sum = sum(_placements([_eigenprojectors(d) for d in dirs], n))
+    return _trace_product(build_product_state(states), proj_sum)
 
 
 def _check_risk_neutral(
@@ -156,11 +153,7 @@ def oracle_price_mb(
     the dense S_N are clipped at the strike while eigenvectors are kept.
     Every factor state must be risk-neutral for its own direction.
     """
-    if len(states) != len(directions):
-        raise ValueError("need one direction per state")
-    dirs = _unit_directions(directions)
-    periods = len(states)
-    _check_dense_cap(periods)
+    dirs = _unit_directions(directions, states)
     for k, (state, d) in enumerate(zip(states, dirs)):
         obs = make_observable(params.down, params.up, d)
         _check_risk_neutral(params, state, obs, f"factor {k}")
@@ -169,7 +162,7 @@ def oracle_price_mb(
     clipped = np.maximum(eigvals - spec.strike, 0.0)
     payoff_op = (eigvecs * clipped) @ eigvecs.conj().T
     rho = build_product_state(states)
-    return pricing.discount_factor(params.rate, periods) * float(np.trace(rho @ payoff_op).real)
+    return pricing.discount_factor(params.rate, len(dirs)) * _trace_product(rho, payoff_op)
 
 
 def symmetric_isometry(
@@ -179,18 +172,12 @@ def symmetric_isometry(
 
     Column n is the normalized sum over all placements of n copies of
     the high eigenvector u among N tensor slots (the rest carrying the
-    low eigenvector v).
+    low eigenvector v), enumerated by combinations.
     """
     _check_dense_cap(periods)
-    u, v = eigenbasis(obs)
-    columns = []
-    for n in range(periods + 1):
-        vec = np.zeros(2**periods, dtype=complex)
-        for positions in itertools.combinations(range(periods), n):
-            factors = [u if j in positions else v for j in range(periods)]
-            vec += _kron_chain(factors)
-        columns.append(vec / np.linalg.norm(vec))
-    return np.column_stack(columns)
+    pairs = [eigenbasis(obs)] * periods
+    columns = [sum(_placements(pairs, n)) for n in range(periods + 1)]
+    return np.column_stack([column / np.linalg.norm(column) for column in columns])
 
 
 def build_symmetric_be_state(
@@ -204,7 +191,6 @@ def build_symmetric_be_state(
     the sum of those terms; off-diagonal Bloch components make the
     compression deviate from that family, which callers can inspect.
     """
-    _check_dense_cap(periods)
     isometry = symmetric_isometry(obs, periods)
     rho_n = _kron_chain([state.matrix()] * periods)
     compressed = isometry.conj().T @ rho_n @ isometry
@@ -231,7 +217,7 @@ def oracle_price_be(
     compressed = build_symmetric_be_state(state, obs, periods)
     payoffs = np.maximum(np.array(pricing.terminal_prices(params, periods)) - spec.strike, 0.0)
     discount = pricing.discount_factor(params.rate, periods)
-    return discount * float(np.trace(compressed @ np.diag(payoffs)).real)
+    return discount * float(np.diag(compressed).real @ payoffs)
 
 
 def classical_path_enumeration(
@@ -296,12 +282,13 @@ def _random_unit(rng: np.random.Generator) -> BlochVector:
     return BlochVector(*(vec / np.linalg.norm(vec)))
 
 
-def _random_disk_state(
-    params: MarketParams, direction: BlochVector, rng: np.random.Generator
-) -> DensityState:
-    obs = make_observable(params.down, params.up, direction)
-    disk = risk_neutral_disk(params, obs)
-    return sample_disk(disk, 1, int(rng.integers(2**31)))[0]
+def _random_factors(
+    params: MarketParams, count: int, rng: np.random.Generator
+) -> tuple[list[BlochVector], list[DensityState]]:
+    """`count` random unit directions, then one random disk state for each."""
+    directions = [_random_unit(rng) for _ in range(count)]
+    disks = [risk_neutral_disk(params, make_observable(params.down, params.up, d)) for d in directions]
+    return directions, [sample_disk(disk, 1, int(rng.integers(2**31)))[0] for disk in disks]
 
 
 def run_identity_checks(
@@ -328,8 +315,7 @@ def run_identity_checks(
     dev = 0.0
     weight_periods = min(periods, 8)
     for _ in range(draws):
-        directions = [_random_unit(rng) for _ in range(weight_periods)]
-        states = [_random_disk_state(params, d, rng) for d in directions]
+        directions, states = _random_factors(params, weight_periods, rng)
         for n in range(weight_periods + 1):
             law = math.comb(weight_periods, n) * q**n * (1.0 - q) ** (weight_periods - n)
             dev = max(dev, abs(mb_weight(states, directions, n) - law))
@@ -346,8 +332,7 @@ def run_identity_checks(
 
     dense_prices = []
     for _ in range(draws):
-        directions = [_random_unit(rng) for _ in range(periods)]
-        states = [_random_disk_state(params, d, rng) for d in directions]
+        directions, states = _random_factors(params, periods, rng)
         dense_prices.append(oracle_price_mb(params, states, directions, spec))
     checks.append(
         IdentityCheck(

@@ -326,6 +326,27 @@ def test_malformed_values_are_invalid_input(tmp_path, config, flags, key):
     assert result.stdout == ""
 
 
+@pytest.mark.parametrize("key", ["periods", "samples", "seed"])
+def test_non_integer_counts_are_invalid_input(tmp_path, key):
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps({key: 1.5}))
+    result = _invoke(["disk", "--config", str(path)])
+    assert result.exit_code == 2
+    assert result.stderr.splitlines() == [f"{key} is not an integer"]
+    assert result.stdout == ""
+
+
+def test_integer_valued_float_counts_are_accepted(tmp_path):
+    path = tmp_path / "run.json"
+    path.write_text('{"periods": 2.0, "samples": 3.0, "seed": 4.0}')
+    result = _invoke(["price", "--config", str(path), "--dump-config"])
+    assert result.exit_code == 0
+    dumped = json.loads(result.stdout)
+    assert [(dumped[key], type(dumped[key])) for key in ("periods", "samples", "seed")] == [
+        (2, int), (3, int), (4, int)
+    ]
+
+
 @pytest.mark.parametrize("model", ["mb", "be"])
 def test_discount_overflow_is_invalid_input(model):
     result = _invoke(

@@ -3,10 +3,12 @@ from __future__ import annotations
 
 import itertools
 import math
+import types
 
 import numpy as np
 import pytest
 
+import qbinomial.oracle as oracle_module
 from conftest import REFERENCE, random_disk_state, random_market, random_strike, random_unit
 from qbinomial import (
     BlochVector,
@@ -32,6 +34,7 @@ from qbinomial import (
     run_identity_checks,
     single_period_price,
 )
+from qbinomial.oracle import DENSE_CAP, symmetric_isometry
 
 CALL = CallSpec(100.0)
 Z = BlochVector(0.0, 0.0, 1.0)
@@ -171,6 +174,112 @@ def test_oracle_price_mb_rejects_off_disk_state():
     off_plane = make_state(BlochVector(0.0, 0.0, 0.5))
     with pytest.raises(ValueError):
         oracle_price_mb(REFERENCE, [off_plane], [Z], CALL)
+
+
+Z_CENTER = DensityState(risk_neutral_disk(REFERENCE, default_observable(REFERENCE)).center())
+
+# The three entry points that take per-factor directions, called as (states, directions).
+DIRECTION_CALLS = {
+    "build_stock_operator": lambda states, directions: build_stock_operator(REFERENCE, directions),
+    "mb_weight": lambda states, directions: mb_weight(states, directions, 0),
+    "oracle_price_mb": lambda states, directions: oracle_price_mb(REFERENCE, states, directions, CALL),
+}
+
+
+@pytest.mark.parametrize("name", DIRECTION_CALLS)
+def test_direction_inputs_are_validated(monkeypatch, name):
+    call = DIRECTION_CALLS[name]
+    call([Z_CENTER] * 2, [Z] * 2)  # the valid baseline the cases below depart from
+    with pytest.raises(ValueError, match="not unit norm"):
+        call([Z_CENTER], [BlochVector(0.0, 0.0, 0.5)])
+
+    def no_dense_build(factors):
+        raise AssertionError("dense build before the cap check")
+
+    monkeypatch.setattr(oracle_module, "_kron_chain", no_dense_build)
+    with pytest.raises(ValueError, match="exceeds dense oracle cap"):
+        call([Z_CENTER] * (DENSE_CAP + 1), [Z] * (DENSE_CAP + 1))
+
+
+@pytest.mark.parametrize("name", ["mb_weight", "oracle_price_mb"])
+def test_direction_count_must_match_state_count(name):
+    call = DIRECTION_CALLS[name]
+    with pytest.raises(ValueError, match="one direction per state"):
+        call([Z_CENTER] * 2, [Z] * 3)
+    with pytest.raises(ValueError, match="one direction per state"):
+        call([Z_CENTER] * 3, [Z] * 2)
+
+
+@pytest.mark.parametrize("n", [-1, 3])
+def test_mb_weight_rejects_up_count_outside_range(n):
+    with pytest.raises(ValueError, match="n must lie"):
+        mb_weight([Z_CENTER] * 2, [Z] * 2, n)
+
+
+def test_symmetric_isometry_columns_are_orthonormal():
+    rng = np.random.default_rng(66)
+    for periods in range(1, 7):
+        params = random_market(rng)
+        obs = make_observable(params.down, params.up, random_unit(rng))
+        isometry = symmetric_isometry(obs, periods)
+        assert isometry.shape == (2**periods, periods + 1)
+        np.testing.assert_allclose(isometry.conj().T @ isometry, np.eye(periods + 1), atol=1e-12)
+
+
+def test_symmetric_isometry_on_z_is_the_dicke_basis():
+    # +z has u = |0>, so n up-moves are the basis indices with N - n one-bits.
+    obs = default_observable(REFERENCE)
+    for periods in range(1, 7):
+        isometry = symmetric_isometry(obs, periods)
+        for n in range(periods + 1):
+            expected = np.array(
+                [1.0 / math.sqrt(math.comb(periods, n)) if index.bit_count() == periods - n else 0.0
+                 for index in range(2**periods)]
+            )
+            assert np.array_equal(isometry[:, n], expected)
+
+
+def test_symmetric_isometry_columns_are_permutation_symmetric():
+    rng = np.random.default_rng(67)
+    for periods in (2, 3, 5):
+        params = random_market(rng)
+        obs = make_observable(params.down, params.up, random_unit(rng))
+        isometry = symmetric_isometry(obs, periods)
+        for _ in range(3):
+            axes = [0, *(1 + rng.permutation(periods))]
+            permuted = isometry.T.reshape([periods + 1] + [2] * periods).transpose(axes)
+            np.testing.assert_allclose(permuted.reshape(periods + 1, -1).T, isometry, atol=1e-14)
+
+
+def _code_objects(code: types.CodeType):
+    yield code
+    for const in code.co_consts:
+        if isinstance(const, types.CodeType):
+            yield from _code_objects(const)
+
+
+def test_oracle_reuses_no_pricing_route():
+    # The oracle may take the terminal-price ladder and the discount factor
+    # from pricing, but no weight or price route; run_identity_checks is the
+    # one place that compares against the closed forms.
+    routes = {
+        "mb_price", "be_price", "mb_payoff_price", "be_payoff_price", "lattice_weights",
+        "be_weights", "complementary_binomial", "crr_cutoff_tau", "_lattice_expectation",
+        "convergence_sweep",
+    }
+    functions = []
+    for value in vars(oracle_module).values():
+        if getattr(value, "__module__", None) != oracle_module.__name__:
+            continue
+        members = vars(value).values() if isinstance(value, type) else [value]
+        functions += [getattr(m, "fget", m) for m in members if isinstance(m, (types.FunctionType, property))]
+    names = {f.__name__ for f in functions}
+    assert {"mb_weight", "oracle_price_mb", "_placements", "passed"} <= names
+    for function in functions:
+        if function.__name__ == "run_identity_checks":
+            continue
+        for code in _code_objects(function.__code__):
+            assert not routes & set(code.co_names), f"{function.__qualname__} uses {routes & set(code.co_names)}"
 
 
 def test_symmetric_state_single_period_is_change_of_basis():
