@@ -135,17 +135,17 @@ def classical_expected_price(model: ClassicalModel, payoff: TwoPointPayoff) -> f
     return (p * payoff.at_up + (1.0 - p) * payoff.at_down) / (1.0 + model.params.rate)
 
 
-def lattice_weights(periods: int, p: float, binomial: bool) -> list[float]:
-    """Normalized weights over the up-move count n = 0..N.
+def _lattice_terms(periods: int, p: float, binomial: bool) -> list[float]:
+    """Unnormalized weights over the up-move count n = 0..N.
 
-    binomial=True gives the Maxwell-Boltzmann law C(N,n) p^n (1-p)^(N-n);
-    binomial=False drops C(N,n), giving the Bose-Einstein geometric
-    family p^n (1-p)^(N-n) / sum_k p^k (1-p)^(N-k). The largest term
-    (the mode floor((N+1)p) for MB, an end of the lattice for BE) is set
-    to 1 and the others follow outward by the term ratio, so no power of
-    p underflows before the weights are normalized. Terms that underflow
-    far from the largest one stay 0. p = 0 and p = 1 are point masses.
-    """
+    binomial=True gives the Maxwell-Boltzmann terms C(N,n) p^n (1-p)^(N-n),
+    binomial=False the Bose-Einstein geometric family p^n (1-p)^(N-n). The
+    largest term (the mode floor((N+1)p) for MB, an end of the lattice for BE)
+    is set to 1 and the others follow outward by the term ratio, so no power
+    of p underflows; terms far from it may underflow to 0. p = 0 and p = 1
+    are point masses."""
+    if periods < 0:
+        raise ValueError("periods must be >= 0")
     if not 0.0 <= p <= 1.0:
         raise ValueError("p must lie in [0, 1]")
     weights = [0.0] * (periods + 1)
@@ -166,8 +166,29 @@ def lattice_weights(periods: int, p: float, binomial: bool) -> list[float]:
         if term == 0.0:
             break
         weights[n - 1] = term
-    total = sum(weights)
-    return [w / total for w in weights]
+    return weights
+
+
+def lattice_weights(periods: int, p: float, binomial: bool) -> list[float]:
+    """The _lattice_terms normalized to sum 1: the MB binomial law or the BE family."""
+    terms = _lattice_terms(periods, p, binomial)
+    mass = sum(terms)
+    return [w / mass for w in terms]
+
+
+def _normalized_sum(
+    terms: list[float], start: int, payoff: Callable[[float], float] | None = None, ladder: tuple = ()
+) -> float:
+    """Sum over n = start..N of w_n * payoff(S_n), or of w_n alone with no payoff, in increasing n;
+    w_n = terms[n] / sum(terms), S_n = s0 grow^n shrink^(N-n) with ladder = (s0, grow, shrink).
+    Bit for bit the full sum over lattice_weights and terminal_prices when the payoff is 0 below
+    start, as skipped nodes add +0.0. Keep the built-in sum(): from 3.12 on it compensates rounding."""
+    mass = sum(terms)
+    if payoff is None:
+        return sum([w / mass for w in terms[start:]])
+    (s0, grow, shrink), top = ladder, len(terms) - 1
+    nodes = range(start, top + 1)
+    return sum([x * payoff(s0 * grow**n * shrink ** (top - n)) for n in nodes if (x := terms[n] / mass)])
 
 
 def _price_ladder(params: MarketParams, periods: int) -> tuple[float, float, float]:
@@ -184,10 +205,7 @@ def _price_ladder(params: MarketParams, periods: int) -> tuple[float, float, flo
 
 
 def terminal_prices(params: MarketParams, periods: int) -> list[float]:
-    """Terminal stock prices S0 (1+up)^n (1+down)^(N-n) for n = 0..N.
-
-    Raises OverflowError naming N when the all-up price leaves the float range.
-    """
+    """Terminal stock prices S0 (1+up)^n (1+down)^(N-n) for n = 0..N (_price_ladder's errors)."""
     s0, grow, shrink = _price_ladder(params, periods)
     return [s0 * grow**n * shrink ** (periods - n) for n in range(periods + 1)]
 
@@ -211,8 +229,8 @@ def complementary_binomial(m: int, n: int, p: float) -> float:
     """
     if not 0 <= m <= n + 1:
         raise ValueError("m must lie in [0, n+1]")
-    weights = lattice_weights(n, p, True)
-    return 1.0 if m == 0 else sum(weights[m:])
+    terms = _lattice_terms(n, p, True)
+    return 1.0 if m == 0 else _normalized_sum(terms, m)
 
 
 def crr_cutoff_tau(params: MarketParams, spec: CallSpec, periods: int) -> int:
@@ -231,26 +249,18 @@ def crr_cutoff_tau(params: MarketParams, spec: CallSpec, periods: int) -> int:
 
 
 def _lattice_expectation(
-    params: MarketParams,
-    payoff: Callable[[float], float],
-    periods: int,
-    binomial: bool,
+    params: MarketParams, payoff: Callable[[float], float], periods: int, binomial: bool
 ) -> float:
     """Discounted expectation of a terminal payoff under MB or BE weights."""
     if periods < 1:
         raise ValueError("periods must be >= 1")
     q = classical_risk_neutral_q(params)
-    prices = terminal_prices(params, periods)
-    weights = lattice_weights(periods, q, binomial)
-    total = sum(w * payoff(s) for w, s in zip(weights, prices) if w)
+    ladder = _price_ladder(params, periods)
+    total = _normalized_sum(_lattice_terms(periods, q, binomial), 0, payoff, ladder)
     return total * discount_factor(params.rate, periods)
 
 
-def mb_payoff_price(
-    params: MarketParams,
-    payoff: Callable[[float], float],
-    periods: int,
-) -> float:
+def mb_payoff_price(params: MarketParams, payoff: Callable[[float], float], periods: int) -> float:
     """Discounted binomial-weighted expectation of a terminal payoff.
 
     The explicit Maxwell-Boltzmann sum: weight C(N,n) q^n (1-q)^(N-n) on
@@ -276,47 +286,40 @@ def mb_price(params: MarketParams, spec: CallSpec, periods: int) -> PricingResul
         - spec.strike * discount * complementary_binomial(tau, periods, q)
     )
     return PricingResult(
-        price=max(0.0, closed),
-        discounted_by=discount,
-        model="mb",
-        periods=periods,
-        cutoff_tau=tau,
+        price=max(0.0, closed), discounted_by=discount, model="mb", periods=periods, cutoff_tau=tau
     )
 
 
 def be_weights(params: MarketParams, periods: int) -> np.ndarray:
-    """Bose-Einstein occupation weights q^n (1-q)^(N-n) normalized to sum 1.
-
-    A geometric-ratio family indexed by the up-move count n; no binomial
-    coefficients appear.
-    """
+    """Bose-Einstein occupation weights q^n (1-q)^(N-n) normalized to sum 1: a geometric-ratio
+    family indexed by the up-move count n; no binomial coefficients appear."""
     import numpy as np
 
     q = classical_risk_neutral_q(params)
     return np.array(lattice_weights(periods, q, binomial=False))
 
 
-def be_payoff_price(
-    params: MarketParams,
-    payoff: Callable[[float], float],
-    periods: int,
-) -> float:
+def be_payoff_price(params: MarketParams, payoff: Callable[[float], float], periods: int) -> float:
     """Discounted Bose-Einstein-weighted expectation of a terminal payoff."""
     return _lattice_expectation(params, payoff, periods, binomial=False)
 
 
 def be_price(params: MarketParams, spec: CallSpec, periods: int) -> PricingResult:
-    """N-period Bose-Einstein call price (identical-particle statistics)."""
-    price = be_payoff_price(params, lambda s: max(0.0, s - spec.strike), periods)
+    """N-period Bose-Einstein call price (identical-particle statistics): the geometric
+    weights times S_n - K over the paying nodes n >= tau only, so bit for bit
+    be_payoff_price of the clipped call payoff."""
+    if periods < 1:
+        raise ValueError("periods must be >= 1")
+    q = classical_risk_neutral_q(params)
+    tau = crr_cutoff_tau(params, spec, periods)
+    ladder = _price_ladder(params, periods)
+    paid = _normalized_sum(_lattice_terms(periods, q, False), tau, lambda s: s - spec.strike, ladder)
     discount = discount_factor(params.rate, periods)
-    return PricingResult(price=price, discounted_by=discount, model="be", periods=periods)
+    return PricingResult(price=paid * discount, discounted_by=discount, model="be", periods=periods)
 
 
 def convergence_sweep(
-    params: MarketParams,
-    spec: CallSpec,
-    max_periods: int,
-    model: Model,
+    params: MarketParams, spec: CallSpec, max_periods: int, model: Model
 ) -> list[tuple[int, float]]:
     """Prices for N = 1..max_periods with the per-period (down, up, rate) held fixed.
 
@@ -326,16 +329,13 @@ def convergence_sweep(
     """
     if max_periods < 1:
         raise ValueError("max_periods must be >= 1")
-    if model == "mb":
-        pricer = mb_price
-    elif model == "be":
-        pricer = be_price
-    else:
+    pricer = {"mb": mb_price, "be": be_price}.get(model)
+    if pricer is None:
         raise ValueError(f"model {model!r} is single-period; sweep needs 'mb' or 'be'")
 
     def range_error(n: int) -> OverflowError | None:
         try:
-            terminal_prices(params, n)
+            _price_ladder(params, n)
             discount_factor(params.rate, n)
         except OverflowError as exc:
             return exc

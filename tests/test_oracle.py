@@ -265,7 +265,7 @@ def test_oracle_reuses_no_pricing_route():
     routes = {
         "mb_price", "be_price", "mb_payoff_price", "be_payoff_price", "lattice_weights",
         "be_weights", "complementary_binomial", "crr_cutoff_tau", "_lattice_expectation",
-        "convergence_sweep",
+        "convergence_sweep", "_lattice_terms", "_normalized_sum",
     }
     functions = []
     for value in vars(oracle_module).values():

@@ -477,3 +477,86 @@ def test_sweep_names_first_overflow_before_pricing_any_period(monkeypatch):
     # 100 * 1.2^N first leaves the float range at N=3868.
     with pytest.raises(OverflowError, match="terminal prices exceed the float range at N=3868$"):
         convergence_sweep(REFERENCE, CALL, 5000, "mb")
+
+
+# ------------------------------------------------- one normalize-as-you-sum kernel
+
+
+def _random_crr_market(rng: np.random.Generator, periods: int) -> MarketParams:
+    """CRR-rescaled market: sigma in [0.1, 0.5], annual rate in [0, 0.08], T = 1."""
+    step = rng.uniform(0.1, 0.5) * math.sqrt(1.0 / periods)
+    rate = math.expm1(rng.uniform(0.0, 0.08) / periods)
+    return MarketParams(1.0, rng.uniform(50.0, 150.0), rate, math.expm1(-step), math.expm1(step))
+
+
+def _kernel_markets(seed: int):
+    """(params, periods) on 40 desk markets with N <= 64 and CRR markets at N = 200, 800, 10^4."""
+    rng = np.random.default_rng(seed)
+    for _ in range(40):
+        yield random_market(rng), int(rng.integers(1, 65))
+    for periods in (200, 200, 800, 800, 10_000):
+        yield _random_crr_market(rng, periods), periods
+
+
+def _full_lattice_sum(params: MarketParams, payoff, periods: int, binomial: bool) -> float:
+    """The normalize-then-sum over every node: all weights times all terminal prices."""
+    weights = pricing_module.lattice_weights(periods, classical_risk_neutral_q(params), binomial)
+    prices = pricing_module.terminal_prices(params, periods)
+    total = sum(w * payoff(s) for w, s in zip(weights, prices) if w)
+    return total * pricing_module.discount_factor(params.rate, periods)
+
+
+def test_be_price_is_the_full_lattice_sum_bit_for_bit():
+    rng = np.random.default_rng(81)
+    for params, periods in _kernel_markets(82):
+        prices = pricing_module.terminal_prices(params, periods)
+        strikes = (
+            random_strike(params, rng),
+            prices[int(rng.integers(periods + 1))],  # exactly at a terminal price
+            prices[0] / 2.0,  # below the all-down price: tau = 0
+            prices[-1] * 1.5,  # above the all-up price: tau = N+1
+        )
+        for strike in strikes:
+            spec = CallSpec(strike)
+            call = lambda s: max(0.0, s - strike)  # noqa: E731
+            result = be_price(params, spec, periods)
+            assert result.price == _full_lattice_sum(params, call, periods, False), (params, periods, strike)
+            assert result.cutoff_tau is None
+        assert crr_cutoff_tau(params, CallSpec(strikes[2]), periods) == 0
+        assert crr_cutoff_tau(params, CallSpec(strikes[3]), periods) == periods + 1
+        assert be_price(params, CallSpec(strikes[3]), periods).price == 0.0
+
+
+def test_payoff_routes_are_the_full_lattice_sum_bit_for_bit():
+    rng = np.random.default_rng(83)
+    for params, periods in _kernel_markets(84):
+        strike = random_strike(params, rng)
+        for payoff in (lambda s: max(0.0, strike - s), lambda s: max(0.0, s - strike)):
+            for binomial, route in ((True, mb_payoff_price), (False, be_payoff_price)):
+                expected = _full_lattice_sum(params, payoff, periods, binomial)
+                assert route(params, payoff, periods) == expected, (route.__name__, params, periods)
+
+
+def test_complementary_binomial_is_the_tail_of_lattice_weights_bit_for_bit():
+    rng = np.random.default_rng(85)
+    for params, periods in _kernel_markets(86):
+        q = classical_risk_neutral_q(params)
+        q_prime = q * (1.0 + params.up) / (1.0 + params.rate)
+        for p in (q, q_prime, float(rng.uniform())):
+            weights = pricing_module.lattice_weights(periods, p, True)
+            for m in (1, int(rng.integers(1, periods + 2)), periods, periods + 1):
+                assert complementary_binomial(m, periods, p) == sum(weights[m:]), (periods, p, m)
+
+
+def test_arbitrage_is_reported_before_terminal_price_overflow():
+    # 100 * 1.2^5000 overflows, but the market admits arbitrage first.
+    for route in ROUTES:
+        with pytest.raises(ValueError, match="arbitrage"):
+            _route_value(route, _arbitrage_market(), 5000)
+
+
+def test_negative_periods_name_the_regime():
+    with pytest.raises(ValueError, match="periods must be >= 0"):
+        pricing_module.lattice_weights(-2, 0.7, True)
+    with pytest.raises(ValueError, match="periods must be >= 0"):
+        be_weights(REFERENCE, -1)
