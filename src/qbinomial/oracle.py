@@ -1,20 +1,20 @@
 """Exact brute-force verification layer.
 
 Everything here is built densely from raw tensor products: the N-period
-stock operator on (C^2)^(x)N, product risk-neutral states, projector
-sums enumerated subset by subset, the symmetric-subspace compression
-used by the Bose-Einstein model, and plain 2^N path enumeration of the
-classical model. No weight or price route from the pricing module is
-reused, only its terminal-price ladder and discount factor; exactness
-and auditability are the point, not speed.
+stock operator on (C^2)^(x)N, product risk-neutral states, the product
+eigenbasis whose 2^N columns, grouped by up-move count, give both the
+Maxwell-Boltzmann projector sums and the symmetric-subspace basis of the
+Bose-Einstein model, and plain 2^N path enumeration of the classical
+model. No weight or price route from the pricing module is reused, only
+its terminal-price ladder and discount factor; exactness and
+auditability are the point, not speed.
 """
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from functools import reduce
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -72,15 +72,21 @@ def _unit_directions(
     return list(directions)
 
 
-def _placements(pairs: Sequence[tuple[np.ndarray, np.ndarray]], n: int) -> Iterator[np.ndarray]:
-    """Yield (x)_j (pairs[j][0] if j in A else pairs[j][1]) for every n-subset A."""
-    for subset in itertools.combinations(range(len(pairs)), n):
-        yield _kron_chain([high if j in subset else low for j, (high, low) in enumerate(pairs)])
+def _product_basis(pairs: Sequence[tuple[np.ndarray, np.ndarray]]) -> tuple[np.ndarray, np.ndarray]:
+    """All 2^N product vectors (x)_j pairs[j][b_j] as columns, with their up counts.
+
+    Bit j of the column index (most significant first) picks pairs[j][0],
+    the high eigenvector, when 0 and pairs[j][1] when 1, so ups[k] =
+    N - popcount(k) and the columns with ups == n are the n-subsets.
+    """
+    basis = _kron_chain([np.column_stack(pair) for pair in pairs])
+    ups = len(pairs) - np.array([k.bit_count() for k in range(len(basis))])
+    return basis, ups
 
 
-def _trace_product(a: np.ndarray, b: np.ndarray) -> float:
-    """Re tr(ab), summed elementwise in O(size) instead of via a matrix product."""
-    return float(np.sum(a.T * b).real)
+def _populations(rho: np.ndarray, basis: np.ndarray) -> np.ndarray:
+    """Re diag(B^H rho B): the weight rho puts on each column of B."""
+    return np.sum(basis.conj() * (rho @ basis), axis=0).real
 
 
 def build_stock_operator(
@@ -107,29 +113,28 @@ def build_product_state(states: Sequence[DensityState]) -> np.ndarray:
     return _kron_chain([state.matrix() for state in states])
 
 
-def _eigenprojectors(direction: BlochVector) -> tuple[np.ndarray, np.ndarray]:
-    """(P_high, P_low) = ((I + n.sigma)/2, (I - n.sigma)/2) for unit n."""
-    pauli = direction.pauli_matrix()
-    return 0.5 * (I2 + pauli), 0.5 * (I2 - pauli)
+def _mb_weights(states: Sequence[DensityState], directions: Sequence[BlochVector]) -> np.ndarray:
+    """All N+1 weights tr(rho P_n) from one product eigenbasis of the n.sigma factors."""
+    rho = build_product_state(states)
+    basis, ups = _product_basis([eigenbasis(make_observable(-1.0, 1.0, d)) for d in directions])
+    return np.bincount(ups, _populations(rho, basis), len(directions) + 1)
 
 
-def mb_weight(
-    states: Sequence[DensityState],
-    directions: Sequence[BlochVector],
-    n: int,
-) -> float:
+def mb_weight(states: Sequence[DensityState], directions: Sequence[BlochVector], n: int) -> float:
     """Dense trace of the product state against the n-up projector sum.
 
     The projector sum runs over every subset of exactly n factors, each
     term the tensor product of high-eigenvector projectors on the subset
-    and low-eigenvector projectors elsewhere, enumerated by combinations.
-    For risk-neutral factors this equals C(N,n) q^n (1-q)^(N-n).
+    and low-eigenvector projectors elsewhere. Each term is B_k B_k^H for
+    one column B_k of the product eigenbasis, so the trace is the sum of
+    rho's populations on the columns with n up-moves; all N+1 weights
+    come from one pass. For risk-neutral factors this equals
+    C(N,n) q^n (1-q)^(N-n).
     """
     dirs = _unit_directions(directions, states)
     if not 0 <= n <= len(dirs):
         raise ValueError("n must lie in [0, N]")
-    proj_sum = sum(_placements([_eigenprojectors(d) for d in dirs], n))
-    return _trace_product(build_product_state(states), proj_sum)
+    return float(_mb_weights(states, dirs)[n])
 
 
 def _check_risk_neutral(
@@ -150,8 +155,9 @@ def oracle_price_mb(
     """Discounted dense trace of the clipped stock operator.
 
     The payoff operator (S_N - K)^+ is formed spectrally: eigenvalues of
-    the dense S_N are clipped at the strike while eigenvectors are kept.
-    Every factor state must be risk-neutral for its own direction.
+    the dense S_N are clipped at the strike and weighted by the product
+    state's populations on the eigenvectors. Every factor state must be
+    risk-neutral for its own direction.
     """
     dirs = _unit_directions(directions, states)
     for k, (state, d) in enumerate(zip(states, dirs)):
@@ -160,9 +166,8 @@ def oracle_price_mb(
     stock = build_stock_operator(params, dirs)
     eigvals, eigvecs = np.linalg.eigh(stock)
     clipped = np.maximum(eigvals - spec.strike, 0.0)
-    payoff_op = (eigvecs * clipped) @ eigvecs.conj().T
-    rho = build_product_state(states)
-    return pricing.discount_factor(params.rate, len(dirs)) * _trace_product(rho, payoff_op)
+    populations = _populations(build_product_state(states), eigvecs)
+    return pricing.discount_factor(params.rate, len(dirs)) * float(clipped @ populations)
 
 
 def symmetric_isometry(
@@ -172,12 +177,12 @@ def symmetric_isometry(
 
     Column n is the normalized sum over all placements of n copies of
     the high eigenvector u among N tensor slots (the rest carrying the
-    low eigenvector v), enumerated by combinations.
+    low eigenvector v): the product-eigenbasis columns with n up-moves.
     """
     _check_dense_cap(periods)
-    pairs = [eigenbasis(obs)] * periods
-    columns = [sum(_placements(pairs, n)) for n in range(periods + 1)]
-    return np.column_stack([column / np.linalg.norm(column) for column in columns])
+    basis, ups = _product_basis([eigenbasis(obs)] * periods)
+    columns = basis @ np.equal.outer(ups, range(periods + 1))
+    return columns / np.linalg.norm(columns, axis=0)
 
 
 def build_symmetric_be_state(
@@ -302,50 +307,37 @@ def run_identity_checks(
 
     Returns one IdentityCheck per identity with the maximum absolute
     deviation observed over `draws` random draws of directions and disk
-    states. All tolerances are 1e-10. The subset-enumerated weight-law
-    check costs 8^N, so it runs at min(periods, 8); everything else runs
-    at the requested period count.
+    states. All tolerances are 1e-10. Every check runs at the requested
+    period count; each draw of N factors feeds both the weight law and
+    the dense price.
     """
     _check_dense_cap(periods)
+    if draws < 1:
+        raise ValueError("draws must be >= 1")
     spec = CallSpec(strike)
     rng = np.random.default_rng(seed)
     q = classical_risk_neutral_q(params)
-    checks = []
+    law = np.array([math.comb(periods, n) * q**n * (1.0 - q) ** (periods - n) for n in range(periods + 1)])
+    closed = pricing.mb_price(params, spec, periods).price
 
     dev = 0.0
-    weight_periods = min(periods, 8)
+    dense_prices = []
     for _ in range(draws):
-        directions, states = _random_factors(params, weight_periods, rng)
-        for n in range(weight_periods + 1):
-            law = math.comb(weight_periods, n) * q**n * (1.0 - q) ** (weight_periods - n)
-            dev = max(dev, abs(mb_weight(states, directions, n) - law))
-    checks.append(IdentityCheck("product-state weights vs binomial law", dev))
+        directions, states = _random_factors(params, periods, rng)
+        dev = max(dev, float(np.abs(_mb_weights(states, directions) - law).max()))
+        dense_prices.append(oracle_price_mb(params, states, directions, spec))
+    checks = [IdentityCheck("product-state weights vs binomial law", dev)]
 
-    closed = pricing.mb_price(params, spec, periods).price
-    explicit = pricing.mb_payoff_price(
-        params, lambda s: max(0.0, s - spec.strike), periods
-    )
+    explicit = pricing.mb_payoff_price(params, lambda s: max(0.0, s - spec.strike), periods)
     checks.append(IdentityCheck("crr closed form vs explicit sum", abs(closed - explicit)))
 
     paths = classical_path_enumeration(params, spec, periods)
     checks.append(IdentityCheck("crr closed form vs path enumeration", abs(closed - paths)))
 
-    dense_prices = []
-    for _ in range(draws):
-        directions, states = _random_factors(params, periods, rng)
-        dense_prices.append(oracle_price_mb(params, states, directions, spec))
-    checks.append(
-        IdentityCheck(
-            "crr closed form vs dense product oracle",
-            max(abs(p - closed) for p in dense_prices),
-        )
-    )
-    checks.append(
-        IdentityCheck(
-            "dense product oracle direction invariance",
-            max(dense_prices) - min(dense_prices),
-        )
-    )
+    dev = max(abs(p - closed) for p in dense_prices)
+    checks.append(IdentityCheck("crr closed form vs dense product oracle", dev))
+    dev = max(dense_prices) - min(dense_prices)
+    checks.append(IdentityCheck("dense product oracle direction invariance", dev))
 
     be_closed = pricing.be_price(params, spec, periods).price
     dev = 0.0

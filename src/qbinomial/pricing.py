@@ -277,6 +277,8 @@ def mb_price(params: MarketParams, spec: CallSpec, periods: int) -> PricingResul
     q' = q (1+up)/(1+rate). The explicit binomial sum (mb_payoff_price)
     is compared with it by oracle.run_identity_checks, not here.
     """
+    if periods < 1:
+        raise ValueError("periods must be >= 1")
     q = classical_risk_neutral_q(params)
     q_prime = q * (1.0 + params.up) / (1.0 + params.rate)
     tau = crr_cutoff_tau(params, spec, periods)

@@ -1,6 +1,7 @@
 """Tests for the dense tensor-product verification layer."""
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import types
@@ -186,6 +187,10 @@ DIRECTION_CALLS = {
 }
 
 
+def _no_dense_build(factors):
+    raise AssertionError("dense build before the inputs are validated")
+
+
 @pytest.mark.parametrize("name", DIRECTION_CALLS)
 def test_direction_inputs_are_validated(monkeypatch, name):
     call = DIRECTION_CALLS[name]
@@ -193,10 +198,7 @@ def test_direction_inputs_are_validated(monkeypatch, name):
     with pytest.raises(ValueError, match="not unit norm"):
         call([Z_CENTER], [BlochVector(0.0, 0.0, 0.5)])
 
-    def no_dense_build(factors):
-        raise AssertionError("dense build before the cap check")
-
-    monkeypatch.setattr(oracle_module, "_kron_chain", no_dense_build)
+    monkeypatch.setattr(oracle_module, "_kron_chain", _no_dense_build)
     with pytest.raises(ValueError, match="exceeds dense oracle cap"):
         call([Z_CENTER] * (DENSE_CAP + 1), [Z] * (DENSE_CAP + 1))
 
@@ -251,6 +253,35 @@ def test_symmetric_isometry_columns_are_permutation_symmetric():
             np.testing.assert_allclose(permuted.reshape(periods + 1, -1).T, isometry, atol=1e-14)
 
 
+def _subset_sum(pairs, n):
+    """Sum over every n-subset A of (x)_j (pairs[j][0] if j in A else pairs[j][1])."""
+    return sum(
+        functools.reduce(np.kron, [high if j in subset else low for j, (high, low) in enumerate(pairs)])
+        for subset in itertools.combinations(range(len(pairs)), n)
+    )
+
+
+def test_product_basis_matches_the_subset_definition():
+    # The subset walk the oracle used to run: projector sums of (I +- n.sigma)/2
+    # for the MB weights, placement sums of (u, v) for the symmetric columns.
+    rng = np.random.default_rng(68)
+    identity = np.eye(2)
+    for periods in range(1, 6):
+        params = random_market(rng)
+        directions = [random_unit(rng) for _ in range(periods)]
+        states = [random_disk_state(params, d, rng) for d in directions]
+        rho = build_product_state(states)
+        paulis = [d.pauli_matrix() for d in directions]
+        projectors = [(0.5 * (identity + p), 0.5 * (identity - p)) for p in paulis]
+        obs = make_observable(params.down, params.up, random_unit(rng))
+        isometry = symmetric_isometry(obs, periods)
+        for n in range(periods + 1):
+            expected = np.trace(rho @ _subset_sum(projectors, n)).real
+            assert abs(mb_weight(states, directions, n) - expected) < 1e-13, (periods, n)
+            column = _subset_sum([eigenbasis(obs)] * periods, n)
+            assert np.abs(isometry[:, n] - column / np.linalg.norm(column)).max() < 1e-13, (periods, n)
+
+
 def _code_objects(code: types.CodeType):
     yield code
     for const in code.co_consts:
@@ -274,7 +305,7 @@ def test_oracle_reuses_no_pricing_route():
         members = vars(value).values() if isinstance(value, type) else [value]
         functions += [getattr(m, "fget", m) for m in members if isinstance(m, (types.FunctionType, property))]
     names = {f.__name__ for f in functions}
-    assert {"mb_weight", "oracle_price_mb", "_placements", "passed"} <= names
+    assert {"mb_weight", "oracle_price_mb", "_product_basis", "passed"} <= names
     for function in functions:
         if function.__name__ == "run_identity_checks":
             continue
@@ -453,6 +484,13 @@ def test_run_identity_checks_all_pass():
     assert len(checks) == 7
     for check in checks:
         assert check.passed, f"{check.name}: {check.deviation}"
+
+
+@pytest.mark.parametrize("draws", [0, -2])
+def test_run_identity_checks_needs_a_draw(monkeypatch, draws):
+    monkeypatch.setattr(oracle_module, "_kron_chain", _no_dense_build)
+    with pytest.raises(ValueError, match="draws must be >= 1"):
+        run_identity_checks(REFERENCE, 100.0, 2, seed=1, draws=draws)
 
 
 def test_run_identity_checks_respects_cap():

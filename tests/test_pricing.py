@@ -555,6 +555,13 @@ def test_arbitrage_is_reported_before_terminal_price_overflow():
             _route_value(route, _arbitrage_market(), 5000)
 
 
+@pytest.mark.parametrize("route", ROUTES)
+def test_period_count_is_checked_before_arbitrage(route):
+    for periods in (0, -3):
+        with pytest.raises(ValueError, match="periods must be >= 1"):
+            _route_value(route, _arbitrage_market(), periods)
+
+
 def test_negative_periods_name_the_regime():
     with pytest.raises(ValueError, match="periods must be >= 0"):
         pricing_module.lattice_weights(-2, 0.7, True)
