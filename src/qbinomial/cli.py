@@ -237,7 +237,10 @@ def disk(config: RunConfig) -> None:
     """Report the risk-neutral disk geometry, optionally with samples."""
     geometry = risk_neutral_disk(config.market, default_observable(config.market))
     n = geometry.normal
-    points = [state.bloch for state in sample_disk(geometry, config.samples, config.seed)]
+    try:
+        points = [state.bloch for state in sample_disk(geometry, config.samples, config.seed)]
+    except ValueError as exc:  # no faithful state in the disk to sample
+        raise CliInputError(str(exc)) from exc
     document = {
         "radius": geometry.radius,
         "plane_offset": geometry.plane_offset,
@@ -258,7 +261,10 @@ def verify(config: RunConfig) -> None:
 
     if config.periods > oracle.DENSE_CAP:
         raise CliInputError("N exceeds dense oracle cap")
-    checks = oracle.run_identity_checks(config.market, config.strike, config.periods, config.seed)
+    try:
+        checks = oracle.run_identity_checks(config.market, config.strike, config.periods, config.seed)
+    except ValueError as exc:  # sample_disk found no faithful state in a risk-neutral disk
+        raise CliInputError(str(exc)) from exc
     document = {
         "checks": [{**dataclasses.asdict(c), "passed": c.passed} for c in checks],
         "passed": all(c.passed for c in checks),

@@ -229,16 +229,18 @@ def sample_disk(disk: RiskNeutralDisk, count: int, seed: int) -> list[DensitySta
     """Draw `count` faithful states uniformly from the open disk.
 
     Uniformity comes from the radial inverse CDF (radius * sqrt(U)) over
-    in-plane polar coordinates; radii are scaled strictly below the
-    boundary. Deterministic for a fixed seed, which must be nonnegative;
-    the samples are those numpy.random.default_rng(seed) would draw.
+    in-plane polar coordinates, redrawn inside the thin rim is_faithful
+    rejects; a disk with no faithful state raises ValueError. Deterministic
+    for a fixed seed, which must be nonnegative; outside that rim the
+    samples are those numpy.random.default_rng(seed) would draw.
     """
     if count < 0:
         raise ValueError("count must be nonnegative")
     if count == 0:
         return []
-    if disk.radius <= 0.0:
-        raise ValueError("cannot sample a degenerate disk")
+    faithful = (1.0 - TOL) ** 2 - disk.plane_offset**2  # squared radius of the faithful part
+    if faithful <= 0.0:
+        raise ValueError("no faithful state in the risk-neutral disk")
     rng = _Pcg64(seed)
     e1, e2 = _in_plane_frame(disk.normal)
     center = disk.center()
@@ -246,6 +248,8 @@ def sample_disk(disk: RiskNeutralDisk, count: int, seed: int) -> list[DensitySta
     states = []
     for _ in range(count):
         radial = disk.radius * math.sqrt(rng.uniform()) * _INTERIOR_MARGIN
+        if radial * radial >= faithful:  # in the TOL-thin rim that is_faithful rejects
+            radial = math.sqrt(faithful * rng.uniform()) * _INTERIOR_MARGIN
         angle = rng.uniform(0.0, 2.0 * math.pi)
         cos, sin = math.cos(angle), math.sin(angle)
         point = (c + radial * (cos * a + sin * b) for c, a, b in zip(center_xyz, e1, e2))

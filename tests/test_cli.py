@@ -172,6 +172,22 @@ def test_disk_empty_exit_code():
     assert "arbitrage" in result.stderr
 
 
+@pytest.mark.parametrize("seed", range(4))
+def test_verify_next_to_the_down_threshold(seed):
+    # every risk-neutral disk here has a faithful rim 1e-9 thin that sampling must avoid
+    result = _invoke(["verify", "--periods", "4", "--r", "-0.0999999998", "--seed", str(seed)])
+    assert result.exit_code == 0, result.output
+    assert "FAIL" not in result.stdout
+
+
+@pytest.mark.parametrize("command", [["disk", "--samples", "2"], ["verify"]])
+def test_disk_without_faithful_states_is_invalid_input(command):
+    result = _invoke([*command, "--r", "-0.09999999999999999"])
+    assert result.exit_code == 2
+    assert result.stderr.splitlines() == ["no faithful state in the risk-neutral disk"]
+    assert result.stdout == ""
+
+
 def test_verify_passes_on_reference_market():
     result = _invoke(["verify", *REFERENCE_FLAGS, "--periods", "6", "--seed", "3"])
     assert result.exit_code == 0

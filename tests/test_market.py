@@ -1,6 +1,7 @@
 """Tests for the market definition and the risk-neutral disk."""
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 
 import qbinomial.market as market_module
 from conftest import REFERENCE, random_market, random_unit
+from qbinomial.bloch import TOL
 from qbinomial import (
     BlochVector,
     ClassicalModel,
@@ -252,6 +254,58 @@ def test_sample_disk_rejects_a_negative_seed():
     disk = risk_neutral_disk(REFERENCE, default_observable(REFERENCE))
     with pytest.raises(ValueError, match="non-negative"):
         sample_disk(disk, 2, -1)
+
+
+def _near_a_threshold(rng: np.random.Generator, gap: float) -> MarketParams:
+    """A random market with its rate `gap` spreads inside the down or the up threshold."""
+    params = random_market(rng)
+    offset = gap * (params.up - params.down)
+    rate = params.down + offset if rng.uniform() < 0.5 else params.up - offset
+    return dataclasses.replace(params, rate=rate)
+
+
+def test_sample_disk_stays_faithful_next_to_the_thresholds():
+    rng = np.random.default_rng(38)
+    sampled = 0
+    for gap in np.geomspace(1e-10, 1e-7, 40):
+        params = _near_a_threshold(rng, gap)
+        obs = make_observable(params.down, params.up, random_unit(rng))
+        disk = risk_neutral_disk(params, obs)
+        if abs(disk.plane_offset) >= 1.0 - TOL:
+            with pytest.raises(ValueError, match="no faithful state in the risk-neutral disk"):
+                sample_disk(disk, 1, 0)
+            continue
+        for state in sample_disk(disk, 50, int(rng.integers(2**31))):
+            assert disk_contains(disk, state, obs, params.rate), gap
+        sampled += 1
+    assert sampled >= 25
+
+
+@pytest.mark.parametrize("rate", [-0.09999999999999999, -0.1 + 1e-10, 0.19999999999999998])
+def test_sample_disk_refuses_a_disk_without_faithful_states(rate):
+    params = _params(rate)
+    disk = risk_neutral_disk(params, default_observable(params))
+    assert abs(disk.plane_offset) >= 1.0 - TOL
+    with pytest.raises(ValueError, match="no faithful state in the risk-neutral disk"):
+        sample_disk(disk, 2, 0)
+    assert sample_disk(disk, 0, 0) == []
+
+
+def test_sample_disk_is_uniform_on_the_faithful_part():
+    # The faithful part (Bloch norm below 1 - TOL) holds about half of this disk's area.
+    params = _params(0.05 - 0.15 * math.sqrt(1.0 - 4.0 * TOL))
+    disk = risk_neutral_disk(params, default_observable(params))
+    faithful = (1.0 - TOL) ** 2 - disk.plane_offset**2
+    assert 0.4 < faithful / disk.radius**2 < 0.6
+    center = disk.center()
+    squared = sorted(
+        ((s.bloch.x - center.x) ** 2 + (s.bloch.y - center.y) ** 2 + (s.bloch.z - center.z) ** 2) / faithful
+        for s in sample_disk(disk, 4000, 5)
+    )
+    # uniform on the faithful disk: the squared radius over its maximum is uniform on [0, 1)
+    assert squared[-1] < 1.0
+    for share in (0.25, 0.5, 0.75):
+        assert abs(np.searchsorted(squared, share) / len(squared) - share) < 0.03
 
 
 def test_sampled_states_price_stock_at_riskless_rate():

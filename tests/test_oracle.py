@@ -177,6 +177,46 @@ def test_oracle_price_mb_rejects_off_disk_state():
         oracle_price_mb(REFERENCE, [off_plane], [Z], CALL)
 
 
+def _eigh_price_mb(params, states, directions, spec):
+    """The generic dense route: eigh of the kron-built stock operator, clipped against the populations."""
+    eigvals, eigvecs = np.linalg.eigh(build_stock_operator(params, directions))
+    rho = build_product_state(states)
+    populations = np.sum(eigvecs.conj() * (rho @ eigvecs), axis=0).real
+    payoff = np.maximum(eigvals - spec.strike, 0.0) @ populations
+    return float(payoff) * (1.0 + params.rate) ** -len(directions)
+
+
+def test_oracle_price_mb_matches_eigh_of_the_stock_operator():
+    rng = np.random.default_rng(69)
+    for periods in [*range(1, 9), *range(1, 9)]:
+        params = random_market(rng)
+        spec = CallSpec(random_strike(params, rng))
+        directions = [random_unit(rng) for _ in range(periods)]
+        states = [random_disk_state(params, d, rng) for d in directions]
+        dense = oracle_price_mb(params, states, directions, spec)
+        assert abs(dense - _eigh_price_mb(params, states, directions, spec)) < 1e-10, periods
+
+
+# Stock operators off the product eigenbasis at N=2: up and down swapped on
+# every factor, shifted by 1e-10 of the top price 144, and NaN off the diagonal.
+WRONG_STOCK_OPERATORS = {
+    "swapped": lambda build, params, directions: build(params, [d.scaled(-1.0) for d in directions]),
+    "perturbed": lambda build, params, directions: build(params, directions) + 1e-10 * 144.0,
+    "nan": lambda build, params, directions: np.where(np.eye(4), build(params, directions), np.nan),
+}
+
+
+@pytest.mark.parametrize("wrong", WRONG_STOCK_OPERATORS)
+def test_oracle_price_mb_checks_the_stock_operator_on_its_basis(monkeypatch, wrong):
+    rng = np.random.default_rng(70)
+    directions = [random_unit(rng) for _ in range(2)]
+    states = [random_disk_state(REFERENCE, d, rng) for d in directions]
+    build = functools.partial(WRONG_STOCK_OPERATORS[wrong], oracle_module.build_stock_operator)
+    monkeypatch.setattr(oracle_module, "build_stock_operator", build)
+    with pytest.raises(ArithmeticError, match="residual"):
+        oracle_price_mb(REFERENCE, states, directions, CALL)
+
+
 Z_CENTER = DensityState(risk_neutral_disk(REFERENCE, default_observable(REFERENCE)).center())
 
 # The three entry points that take per-factor directions, called as (states, directions).
