@@ -53,52 +53,6 @@ from .pricing import (
     single_period_trace_price,
 )
 
-__all__ = [
-    "BlochVector",
-    "CallSpec",
-    "ClassicalModel",
-    "DensityState",
-    "MarketParams",
-    "PathOutcome",
-    "PricingResult",
-    "RiskNeutralDisk",
-    "TwoLevelObservable",
-    "TwoPointPayoff",
-    "bank_value",
-    "be_payoff_price",
-    "be_price",
-    "be_weights",
-    "build_product_state",
-    "build_stock_operator",
-    "build_symmetric_be_state",
-    "call_two_point",
-    "classical_expected_price",
-    "classical_path_enumeration",
-    "classical_risk_neutral_q",
-    "complementary_binomial",
-    "convergence_sweep",
-    "crr_cutoff_tau",
-    "default_observable",
-    "disk_contains",
-    "eigenbasis",
-    "enumerate_path_outcomes",
-    "expectation",
-    "is_arbitrage_free",
-    "is_faithful",
-    "make_observable",
-    "make_state",
-    "mb_payoff_price",
-    "mb_price",
-    "mb_weight",
-    "oracle_price_be",
-    "oracle_price_mb",
-    "risk_neutral_disk",
-    "run_identity_checks",
-    "sample_disk",
-    "single_period_price",
-    "single_period_trace_price",
-]
-
 _ORACLE_NAMES = (
     "PathOutcome",
     "build_product_state",
@@ -110,6 +64,12 @@ _ORACLE_NAMES = (
     "oracle_price_be",
     "oracle_price_mb",
     "run_identity_checks",
+)
+
+# The eager imports above plus the oracle names.
+__all__ = sorted(
+    {name for name, value in vars().items() if getattr(value, "__module__", "").startswith(f"{__name__}.")}
+    | set(_ORACLE_NAMES)
 )
 
 

@@ -215,7 +215,10 @@ def price(config: RunConfig) -> None:
     if config.model == "classical":
         result = pricing.single_period_price(params, payoff, model="classical")
     elif config.model == "quantum_single":
-        result = pricing.quantum_single_price(params, payoff)
+        try:
+            result = pricing.quantum_single_price(params, payoff)
+        except ValueError as exc:  # no faithful state at the disk center
+            raise CliInputError(str(exc)) from exc
     elif config.model == "mb":
         result = pricing.mb_price(params, spec, config.periods)
     else:

@@ -87,7 +87,6 @@ class RiskNeutralDisk:
     normal: BlochVector
     plane_offset: float
     radius: float
-    open: bool = True
 
     def __post_init__(self) -> None:
         if abs(self.normal.norm() - 1.0) > TOL:

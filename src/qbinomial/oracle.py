@@ -5,9 +5,11 @@ stock operator on (C^2)^(x)N, product risk-neutral states, the product
 eigenbasis whose 2^N columns, grouped by up-move count, give the MB
 projector sums, the BE symmetric basis and the stock operator's
 eigenvectors (checked by a dense residual), and plain 2^N path
-enumeration of the classical model. No weight or price route from the
-pricing module is reused, only its terminal-price ladder and discount
-factor; exactness and auditability are the point, not speed.
+enumeration of the classical model. Each MB draw takes one dense pass:
+one product state, eigenbasis and population vector give both its
+weight law and its price. No weight or price route from the pricing
+module is reused, only its terminal-price ladder and discount factor;
+exactness and auditability are the point, not speed.
 """
 from __future__ import annotations
 
@@ -25,23 +27,21 @@ from .bloch import (
     DensityState,
     TwoLevelObservable,
     eigenbasis,
-    expectation,
     is_faithful,
     make_observable,
 )
 from .market import (
-    MEMBERSHIP_TOL,
     MarketParams,
-    check_observable,
     classical_risk_neutral_q,
     default_observable,
+    disk_contains,
     risk_neutral_disk,
     sample_disk,
 )
 from .pricing import CallSpec
 
 # Memory guard for dense 2^N x 2^N construction and loop guard for path
-# enumeration; `verify --periods 12` takes about a minute and 1.1 GB on 2 cores.
+# enumeration; `verify --periods 12` takes about 35 s and 1.1 GB on 2 cores.
 DENSE_CAP = 12
 PATH_CAP = 25
 
@@ -111,13 +111,6 @@ def build_product_state(states: Sequence[DensityState]) -> np.ndarray:
     return _kron_chain([state.matrix() for state in states])
 
 
-def _mb_weights(states: Sequence[DensityState], directions: Sequence[BlochVector]) -> np.ndarray:
-    """All N+1 weights tr(rho P_n) from one product eigenbasis of the n.sigma factors."""
-    rho = build_product_state(states)
-    basis, ups = _product_basis([eigenbasis(make_observable(-1.0, 1.0, d)) for d in directions])
-    return np.bincount(ups, _populations(rho, basis), len(directions) + 1)
-
-
 def mb_weight(states: Sequence[DensityState], directions: Sequence[BlochVector], n: int) -> float:
     """Dense trace of the product state against the n-up projector sum.
 
@@ -125,23 +118,38 @@ def mb_weight(states: Sequence[DensityState], directions: Sequence[BlochVector],
     term the tensor product of high-eigenvector projectors on the subset
     and low-eigenvector projectors elsewhere. Each term is B_k B_k^H for
     one column B_k of the product eigenbasis, so the trace is the sum of
-    rho's populations on the columns with n up-moves; all N+1 weights
-    come from one pass. For risk-neutral factors this equals
-    C(N,n) q^n (1-q)^(N-n).
+    rho's populations on the columns with n up-moves. For risk-neutral
+    factors this equals C(N,n) q^n (1-q)^(N-n).
     """
     dirs = _unit_directions(directions, states)
     if not 0 <= n <= len(dirs):
         raise ValueError("n must lie in [0, N]")
-    return float(_mb_weights(states, dirs)[n])
+    rho = build_product_state(states)
+    basis, ups = _product_basis([eigenbasis(make_observable(-1.0, 1.0, d)) for d in dirs])
+    return float(_populations(rho, basis)[ups == n].sum())
 
 
-def _check_risk_neutral(
-    params: MarketParams, state: DensityState, obs: TwoLevelObservable, label: str
-) -> None:
-    if not is_faithful(state):
-        raise ValueError(f"{label} is not faithful")
-    if abs(expectation(state, obs) - params.rate) >= MEMBERSHIP_TOL:
-        raise ValueError(f"{label} is not risk-neutral for this market")
+def _mb_pass(
+    params: MarketParams,
+    states: Sequence[DensityState],
+    directions: Sequence[BlochVector],
+    spec: CallSpec,
+) -> tuple[np.ndarray, float]:
+    """The N+1 weights tr(rho P_n) and oracle_price_mb's price, from one dense pass."""
+    dirs = _unit_directions(directions, states)
+    observables = [make_observable(params.down, params.up, d) for d in dirs]
+    for k, (state, obs) in enumerate(zip(states, observables)):
+        if not disk_contains(risk_neutral_disk(params, obs), state, obs, params.rate):
+            raise ValueError(f"factor {k} is not in the risk-neutral disk")
+    basis, ups = _product_basis([eigenbasis(obs) for obs in observables])
+    prices = np.array(pricing.terminal_prices(params, len(dirs)))
+    eigvals = prices[ups]
+    residual = float(np.abs(build_stock_operator(params, dirs) @ basis - basis * eigvals).max())
+    if not residual <= 1e-12 * eigvals.max():
+        raise ArithmeticError(f"stock operator residual {residual:.3e} on the product eigenbasis")
+    weights = np.bincount(ups, _populations(build_product_state(states), basis), len(dirs) + 1)
+    payoff = np.maximum(prices - spec.strike, 0.0) @ weights
+    return weights, pricing.discount_factor(params.rate, len(dirs)) * float(payoff)
 
 
 def oracle_price_mb(
@@ -154,21 +162,11 @@ def oracle_price_mb(
 
     S_N is diagonalized on the product of the factor eigenbases (n up-moves:
     S0 (1+up)^n (1+down)^(N-n)); a dense residual against the kron-built S_N
-    above 1e-12 of the top price raises ArithmeticError. The clipped
-    eigenvalues weigh the product state's populations on those columns.
-    Every factor state must be risk-neutral for its own direction.
+    above 1e-12 of the top price raises ArithmeticError. The product state's
+    populations on those columns, summed by up-move count, weigh the clipped
+    terminal prices. Every factor state must be risk-neutral for its own direction.
     """
-    dirs = _unit_directions(directions, states)
-    observables = [make_observable(params.down, params.up, d) for d in dirs]
-    for k, (state, obs) in enumerate(zip(states, observables)):
-        _check_risk_neutral(params, state, obs, f"factor {k}")
-    basis, ups = _product_basis([eigenbasis(obs) for obs in observables])
-    eigvals = np.array(pricing.terminal_prices(params, len(dirs)))[ups]
-    residual = float(np.abs(build_stock_operator(params, dirs) @ basis - basis * eigvals).max())
-    if not residual <= 1e-12 * eigvals.max():
-        raise ArithmeticError(f"stock operator residual {residual:.3e} on the product eigenbasis")
-    payoff = np.maximum(eigvals - spec.strike, 0.0) @ _populations(build_product_state(states), basis)
-    return pricing.discount_factor(params.rate, len(dirs)) * float(payoff)
+    return _mb_pass(params, states, directions, spec)[1]
 
 
 def symmetric_isometry(
@@ -218,8 +216,8 @@ def oracle_price_be(
     """
     if obs is None:
         obs = default_observable(params)
-    check_observable(params, obs)
-    _check_risk_neutral(params, state, obs, "state")
+    if not disk_contains(risk_neutral_disk(params, obs), state, obs, params.rate):
+        raise ValueError("state is not in the risk-neutral disk")
     compressed = build_symmetric_be_state(state, obs, periods)
     payoffs = np.maximum(np.array(pricing.terminal_prices(params, periods)) - spec.strike, 0.0)
     discount = pricing.discount_factor(params.rate, periods)
@@ -325,8 +323,9 @@ def run_identity_checks(
     dense_prices = []
     for _ in range(draws):
         directions, states = _random_factors(params, periods, rng)
-        dev = max(dev, float(np.abs(_mb_weights(states, directions) - law).max()))
-        dense_prices.append(oracle_price_mb(params, states, directions, spec))
+        weights, price = _mb_pass(params, states, directions, spec)
+        dev = max(dev, float(np.abs(weights - law).max()))
+        dense_prices.append(price)
     checks = [IdentityCheck("product-state weights vs binomial law", dev)]
 
     explicit = pricing.mb_payoff_price(params, lambda s: max(0.0, s - spec.strike), periods)

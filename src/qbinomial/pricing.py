@@ -14,14 +14,13 @@ import sys
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Literal
 
-from .bloch import DensityState, TwoLevelObservable, eigenbasis, expectation
+from .bloch import DensityState, TwoLevelObservable, eigenbasis, is_faithful
 from .market import (
-    MEMBERSHIP_TOL,
     ClassicalModel,
     MarketParams,
-    check_observable,
     classical_risk_neutral_q,
     default_observable,
+    disk_contains,
     risk_neutral_disk,
 )
 
@@ -101,9 +100,8 @@ def single_period_trace_price(
     return observable. The supplied state must lie in the risk-neutral
     disk; the result then equals single_period_price within 1e-12.
     """
-    check_observable(params, obs)
-    if abs(expectation(state, obs) - params.rate) >= MEMBERSHIP_TOL:
-        raise ValueError("state is not risk-neutral for this market")
+    if not disk_contains(risk_neutral_disk(params, obs), state, obs, params.rate):
+        raise ValueError("state is not in the risk-neutral disk")
     import numpy as np
 
     u, v = eigenbasis(obs)
@@ -115,11 +113,14 @@ def quantum_single_price(params: MarketParams, payoff: TwoPointPayoff) -> Pricin
     """One-period price as the dense trace at the center of the risk-neutral disk.
 
     Uses the default (+z) return observable; any state of the disk would
-    give the same price.
+    give the same price. The center is the disk's most mixed state, so when
+    it is not faithful no state is, and ValueError is raised.
     """
     obs = default_observable(params)
-    disk = risk_neutral_disk(params, obs)
-    price = single_period_trace_price(params, payoff, DensityState(disk.center()), obs)
+    center = DensityState(risk_neutral_disk(params, obs).center())
+    if not is_faithful(center):
+        raise ValueError("no faithful state in the risk-neutral disk")
+    price = single_period_trace_price(params, payoff, center, obs)
     return PricingResult(
         price=price, discounted_by=1.0 / (1.0 + params.rate), model="quantum_single", periods=1
     )

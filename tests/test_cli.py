@@ -180,7 +180,9 @@ def test_verify_next_to_the_down_threshold(seed):
     assert "FAIL" not in result.stdout
 
 
-@pytest.mark.parametrize("command", [["disk", "--samples", "2"], ["verify"]])
+@pytest.mark.parametrize(
+    "command", [["disk", "--samples", "2"], ["verify"], ["price", "--model", "quantum_single"]]
+)
 def test_disk_without_faithful_states_is_invalid_input(command):
     result = _invoke([*command, "--r", "-0.09999999999999999"])
     assert result.exit_code == 2

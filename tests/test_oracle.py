@@ -1,6 +1,7 @@
 """Tests for the dense tensor-product verification layer."""
 from __future__ import annotations
 
+import collections
 import functools
 import itertools
 import math
@@ -169,6 +170,20 @@ def test_oracle_price_mb_state_invariance():
     p1 = oracle_price_mb(params, first, directions, spec)
     p2 = oracle_price_mb(params, second, directions, spec)
     assert abs(p1 - p2) < 1e-12
+
+
+def test_dense_pass_weights_are_mb_weight():
+    rng = np.random.default_rng(71)
+    for periods in (1, 3, 5):
+        params = random_market(rng)
+        spec = CallSpec(random_strike(params, rng))
+        directions = [random_unit(rng) for _ in range(periods)]
+        states = [random_disk_state(params, d, rng) for d in directions]
+        weights, price = oracle_module._mb_pass(params, states, directions, spec)
+        assert price == oracle_price_mb(params, states, directions, spec)
+        assert len(weights) == periods + 1
+        for n, weight in enumerate(weights):
+            assert abs(weight - mb_weight(states, directions, n)) < 1e-13, (periods, n)
 
 
 def test_oracle_price_mb_rejects_off_disk_state():
@@ -524,6 +539,21 @@ def test_run_identity_checks_all_pass():
     assert len(checks) == 7
     for check in checks:
         assert check.passed, f"{check.name}: {check.deviation}"
+
+
+def test_run_identity_checks_takes_one_dense_pass_per_draw(monkeypatch):
+    # Each MB draw builds one product state and one product eigenbasis for
+    # both its weight law and its price; each BE draw builds one eigenbasis.
+    calls = collections.Counter()
+    for name in ("build_product_state", "_product_basis"):
+
+        def counted(*args, name=name, original=getattr(oracle_module, name)):
+            calls[name] += 1
+            return original(*args)
+
+        monkeypatch.setattr(oracle_module, name, counted)
+    run_identity_checks(REFERENCE, 100.0, 3, seed=1, draws=2)
+    assert calls == {"build_product_state": 2, "_product_basis": 4}
 
 
 @pytest.mark.parametrize("draws", [0, -2])

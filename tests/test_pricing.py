@@ -17,6 +17,7 @@ import pytest
 import qbinomial.pricing as pricing_module
 from conftest import REFERENCE, random_market, random_strike, random_unit
 from qbinomial import (
+    BlochVector,
     CallSpec,
     ClassicalModel,
     DensityState,
@@ -121,6 +122,13 @@ def test_trace_form_rejects_off_disk_state():
     off_plane = DensityState(obs.unit_direction().scaled(0.5))
     with pytest.raises(ValueError):
         single_period_trace_price(REFERENCE, TwoPointPayoff(0.0, 20.0), off_plane, obs)
+    # on the plane but on the rim, so not faithful: outside the open disk
+    params = MarketParams(1.0, 100.0, 0.03, -0.1, 0.2)
+    obs = default_observable(params)
+    disk = risk_neutral_disk(params, obs)
+    rim = DensityState(BlochVector(disk.radius, 0.0, disk.plane_offset))
+    with pytest.raises(ValueError, match="not in the risk-neutral disk"):
+        single_period_trace_price(params, TwoPointPayoff(0.0, 20.0), rim, obs)
 
 
 def test_classical_expected_price():
