@@ -136,60 +136,97 @@ def classical_expected_price(model: ClassicalModel, payoff: TwoPointPayoff) -> f
     return (p * payoff.at_up + (1.0 - p) * payoff.at_down) / (1.0 + model.params.rate)
 
 
-def _lattice_terms(periods: int, p: float, binomial: bool) -> list[float]:
-    """Unnormalized weights over the up-move count n = 0..N.
+def _lattice_terms(
+    periods: int, p: float, binomial: bool, floor: float = 0.0
+) -> tuple[int, list[float]]:
+    """Unnormalized weights over the up-move count n, as (lo, terms): terms[i] weighs n = lo + i,
+    and every n outside the span weighs 0.
 
     binomial=True gives the Maxwell-Boltzmann terms C(N,n) p^n (1-p)^(N-n),
     binomial=False the Bose-Einstein geometric family p^n (1-p)^(N-n). The
     largest term (the mode floor((N+1)p) for MB, an end of the lattice for BE)
     is set to 1 and the others follow outward by the term ratio, so no power
-    of p underflows; terms far from it may underflow to 0. p = 0 and p = 1
-    are point masses."""
+    of p underflows. p = 0 and p = 1 are point masses.
+
+    Each side of the walk stops at its first term <= floor. With the default
+    floor 0.0 that is the first term to underflow, so the span holds exactly
+    the nonzero terms. A floor > 0 bounds the error absolutely. The terms fall
+    monotonically away from the largest (a ratio below 1 rounds to at most 1),
+    so every dropped term is <= floor. At most N of the N+1 terms are dropped,
+    so the dropped mass D is at most N floor, and the largest term, 1, is kept,
+    so the kept mass M_k = M - D is >= 1. A tail share T/M of the full mass
+    then becomes T_k/M_k with T - T_k = D_T <= D, and
+    |T_k/M_k - T/M| = |T D - M D_T| / (M M_k) <= D / M_k <= N floor.
+    mb_price's floor 2^-64/(N+1) moves each of its tails by less than 2^-64,
+    so a call worth under 2^-64 (S0 + K) (for r >= 0) may price as 0.0."""
     if periods < 0:
         raise ValueError("periods must be >= 0")
     if not 0.0 <= p <= 1.0:
         raise ValueError("p must lie in [0, 1]")
-    weights = [0.0] * (periods + 1)
     if p == 0.0 or p == 1.0:
-        weights[periods if p == 1.0 else 0] = 1.0
-        return weights
+        return (periods if p == 1.0 else 0), [1.0]
     odds = p / (1.0 - p)
-    top = min(periods, int((periods + 1) * p)) if binomial else (periods if odds > 1.0 else 0)
-    weights[top] = term = 1.0
-    for n in range(top, periods):
-        term *= (periods - n) / (n + 1) * odds if binomial else odds
-        if term == 0.0:
-            break
-        weights[n + 1] = term
+    terms, term = [], 1.0
+    if binomial:  # t_n / t_(n-1) = (N+1-n)/n * odds, which falls through 1 at the mode
+        top, after = min(periods, int((periods + 1) * p)), periods + 1
+        for n in range(top, 0, -1):
+            term /= (after - n) / n * odds
+            if term <= floor:
+                break
+            terms.append(term)
+    else:  # the ratio is odds throughout, so the largest term sits at an end
+        top = periods if odds > 1.0 else 0
+        for _ in range(top):
+            term /= odds
+            if term <= floor:
+                break
+            terms.append(term)
+    lo = top - len(terms)
+    terms.reverse()
+    terms.append(1.0)
     term = 1.0
-    for n in range(top, 0, -1):
-        term /= (periods - n + 1) / n * odds if binomial else odds
-        if term == 0.0:
-            break
-        weights[n - 1] = term
-    return weights
+    if binomial:
+        for n in range(top + 1, after):
+            term *= (after - n) / n * odds
+            if term <= floor:
+                break
+            terms.append(term)
+    else:
+        for _ in range(periods - top):
+            term *= odds
+            if term <= floor:
+                break
+            terms.append(term)
+    return lo, terms
 
 
 def lattice_weights(periods: int, p: float, binomial: bool) -> list[float]:
-    """The _lattice_terms normalized to sum 1: the MB binomial law or the BE family."""
-    terms = _lattice_terms(periods, p, binomial)
+    """The _lattice_terms normalized to sum 1 over n = 0..N: the MB binomial law or the BE family."""
+    lo, terms = _lattice_terms(periods, p, binomial)
     mass = sum(terms)
-    return [w / mass for w in terms]
+    return [0.0] * lo + [w / mass for w in terms] + [0.0] * (periods + 1 - lo - len(terms))
 
 
 def _normalized_sum(
-    terms: list[float], start: int, payoff: Callable[[float], float] | None = None, ladder: tuple = ()
+    walk: tuple[int, list[float]],
+    start: int,
+    payoff: Callable[[float], float] | None = None,
+    ladder: tuple = (),
 ) -> float:
-    """Sum over n = start..N of w_n * payoff(S_n), or of w_n alone with no payoff, in increasing n;
-    w_n = terms[n] / sum(terms), S_n = s0 grow^n shrink^(N-n) with ladder = (s0, grow, shrink).
-    Bit for bit the full sum over lattice_weights and terminal_prices when the payoff is 0 below
-    start, as skipped nodes add +0.0. Keep the built-in sum(): from 3.12 on it compensates rounding."""
+    """Sum over the walked nodes n >= start of w_n * payoff(S_n), or of w_n alone with no payoff, in
+    increasing n; w_n = t_n / sum(t) over the walk (lo, t) of _lattice_terms, S_n = s0 grow^n
+    shrink^(N-n) with ladder = (s0, grow, shrink, N). On a walk with the default floor, bit for bit the
+    full sum over lattice_weights and terminal_prices when the payoff is 0 below start, as unwalked and
+    skipped nodes add +0.0. Keep the built-in sum(): from 3.12 on it compensates rounding."""
+    lo, terms = walk
     mass = sum(terms)
+    if start > lo:
+        lo, terms = start, terms[start - lo :]
     if payoff is None:
-        return sum([w / mass for w in terms[start:]])
-    (s0, grow, shrink), top = ladder, len(terms) - 1
-    nodes = range(start, top + 1)
-    return sum([x * payoff(s0 * grow**n * shrink ** (top - n)) for n in nodes if (x := terms[n] / mass)])
+        return sum([w / mass for w in terms], 0.0)
+    s0, grow, shrink, top = ladder
+    nodes = enumerate(terms, lo)
+    return sum([x * payoff(s0 * grow**n * shrink ** (top - n)) for n, w in nodes if (x := w / mass)])
 
 
 def _price_ladder(params: MarketParams, periods: int) -> tuple[float, float, float]:
@@ -230,8 +267,13 @@ def complementary_binomial(m: int, n: int, p: float) -> float:
     """
     if not 0 <= m <= n + 1:
         raise ValueError("m must lie in [0, n+1]")
-    terms = _lattice_terms(n, p, True)
-    return 1.0 if m == 0 else _normalized_sum(terms, m)
+    return _binomial_tail(m, n, p)
+
+
+def _binomial_tail(m: int, n: int, p: float, floor: float = 0.0) -> float:
+    """complementary_binomial over the binomial walk stopped at floor (see _lattice_terms)."""
+    walk = _lattice_terms(n, p, True, floor)
+    return 1.0 if m == 0 else _normalized_sum(walk, m)
 
 
 def crr_cutoff_tau(params: MarketParams, spec: CallSpec, periods: int) -> int:
@@ -256,7 +298,7 @@ def _lattice_expectation(
     if periods < 1:
         raise ValueError("periods must be >= 1")
     q = classical_risk_neutral_q(params)
-    ladder = _price_ladder(params, periods)
+    ladder = (*_price_ladder(params, periods), periods)
     total = _normalized_sum(_lattice_terms(periods, q, binomial), 0, payoff, ladder)
     return total * discount_factor(params.rate, periods)
 
@@ -277,6 +319,16 @@ def mb_price(params: MarketParams, spec: CallSpec, periods: int) -> PricingResul
     Evaluates S0 * Psi(tau; N, q') - K (1+r)^-N * Psi(tau; N, q) with
     q' = q (1+up)/(1+rate). The explicit binomial sum (mb_payoff_price)
     is compared with it by oracle.run_identity_checks, not here.
+
+    Each Psi sums only the binomial terms above the floor 2^-64/(N+1), about
+    ten standard deviations either side of the mode, so a call costs
+    O(sqrt(N)) instead of two full O(N) walks. By _lattice_terms' bound each
+    Psi then differs from complementary_binomial's full-lattice value by at
+    most N 2^-64/(N+1) < 2^-64, and the price by less than
+    2^-64 (S0 + K (1+r)^-N), at most 2^-64 (S0 + K) when r >= 0. The
+    accuracy is absolute: a call worth less than that may price as 0.0.
+    When every term lies above the floor, the price is bit for bit the
+    complementary_binomial form.
     """
     if periods < 1:
         raise ValueError("periods must be >= 1")
@@ -284,9 +336,10 @@ def mb_price(params: MarketParams, spec: CallSpec, periods: int) -> PricingResul
     q_prime = q * (1.0 + params.up) / (1.0 + params.rate)
     tau = crr_cutoff_tau(params, spec, periods)
     discount = discount_factor(params.rate, periods)
+    floor = 2.0**-64 / (periods + 1)
     closed = (
-        params.stock_initial * complementary_binomial(tau, periods, q_prime)
-        - spec.strike * discount * complementary_binomial(tau, periods, q)
+        params.stock_initial * _binomial_tail(tau, periods, q_prime, floor)
+        - spec.strike * discount * _binomial_tail(tau, periods, q, floor)
     )
     return PricingResult(
         price=max(0.0, closed), discounted_by=discount, model="mb", periods=periods, cutoff_tau=tau
@@ -315,7 +368,7 @@ def be_price(params: MarketParams, spec: CallSpec, periods: int) -> PricingResul
         raise ValueError("periods must be >= 1")
     q = classical_risk_neutral_q(params)
     tau = crr_cutoff_tau(params, spec, periods)
-    ladder = _price_ladder(params, periods)
+    ladder = (*_price_ladder(params, periods), periods)
     paid = _normalized_sum(_lattice_terms(periods, q, False), tau, lambda s: s - spec.strike, ladder)
     discount = discount_factor(params.rate, periods)
     return PricingResult(price=paid * discount, discounted_by=discount, model="be", periods=periods)

@@ -575,3 +575,105 @@ def test_negative_periods_name_the_regime():
         pricing_module.lattice_weights(-2, 0.7, True)
     with pytest.raises(ValueError, match="periods must be >= 0"):
         be_weights(REFERENCE, -1)
+
+
+# ------------------------------------------------- the walk and its stopping floor
+
+
+def _underflow_walk(periods: int, p: float, binomial: bool) -> list[float]:
+    """The lattice walk written out plainly: N+1 slots, the largest term set to 1,
+    each side filled outward by the term ratio until a term underflows to 0."""
+    weights = [0.0] * (periods + 1)
+    if p == 0.0 or p == 1.0:
+        weights[periods if p == 1.0 else 0] = 1.0
+        return weights
+    odds = p / (1.0 - p)
+    top = min(periods, int((periods + 1) * p)) if binomial else (periods if odds > 1.0 else 0)
+    weights[top] = term = 1.0
+    for n in range(top, periods):
+        term *= (periods - n) / (n + 1) * odds if binomial else odds
+        if term == 0.0:
+            break
+        weights[n + 1] = term
+    term = 1.0
+    for n in range(top, 0, -1):
+        term /= (periods - n + 1) / n * odds if binomial else odds
+        if term == 0.0:
+            break
+        weights[n - 1] = term
+    return weights
+
+
+def _padded(periods: int, walk: tuple[int, list[float]]) -> list[float]:
+    lo, terms = walk
+    return [0.0] * lo + terms + [0.0] * (periods + 1 - lo - len(terms))
+
+
+def test_default_walk_is_the_underflow_walk_term_for_term():
+    rng = np.random.default_rng(87)
+    for _ in range(40):
+        periods = int(rng.integers(0, 3001))
+        u = float(rng.uniform())
+        for p in (0.0, 1.0, 0.5, u**8, 1.0 - u**8, u):
+            for binomial in (True, False):
+                walk = pricing_module._lattice_terms(periods, p, binomial)
+                assert _padded(periods, walk) == _underflow_walk(periods, p, binomial), (periods, p)
+                assert min(walk[1]) > 0.0  # the span is exactly the nonzero terms
+
+
+def _mb_floor(periods: int) -> float:
+    return 2.0**-64 / (periods + 1)
+
+
+def test_floored_walk_drops_less_than_two_to_the_minus_64_of_the_mass():
+    rng = np.random.default_rng(88)
+    dropping = 0
+    for _ in range(60):
+        periods = int(math.exp(rng.uniform(0.0, math.log(1e5))))
+        u = float(rng.uniform())
+        p = (u, u**8, 1.0 - u**8)[int(rng.integers(3))]
+        lo, full = pricing_module._lattice_terms(periods, p, True)
+        floored_lo, kept = pricing_module._lattice_terms(periods, p, True, _mb_floor(periods))
+        first, end = floored_lo - lo, floored_lo - lo + len(kept)
+        assert first >= 0 and full[first:end] == kept, (periods, p)
+        dropped = full[:first] + full[end:]
+        assert all(t <= _mb_floor(periods) for t in dropped), (periods, p)
+        assert math.fsum(dropped) < 2.0**-64 * math.fsum(full), (periods, p)
+        dropping += bool(dropped)
+    assert dropping >= 30
+
+
+def test_mb_price_is_the_complementary_binomial_form_up_to_the_floor():
+    rng = np.random.default_rng(89)
+    exact = bounded = 0
+    for params, periods in _kernel_markets(90):
+        spec = CallSpec(random_strike(params, rng))
+        q = classical_risk_neutral_q(params)
+        q_prime = q * (1.0 + params.up) / (1.0 + params.rate)
+        tau = crr_cutoff_tau(params, spec, periods)
+        discount = pricing_module.discount_factor(params.rate, periods)
+        full = max(
+            0.0,
+            params.stock_initial * complementary_binomial(tau, periods, q_prime)
+            - spec.strike * discount * complementary_binomial(tau, periods, q),
+        )
+        price = mb_price(params, spec, periods).price
+        walk = functools.partial(pricing_module._lattice_terms, periods, binomial=True)
+        if all(walk(p, floor=_mb_floor(periods)) == walk(p) for p in (q, q_prime)):
+            assert price == full, (params, periods)
+            exact += 1
+        else:
+            bound = 2.0**-64 * (params.stock_initial + spec.strike * discount) + 4 * math.ulp(full)
+            assert abs(price - full) <= bound, (params, periods, price, full)
+            bounded += 1
+    assert exact >= 10 and bounded >= 5
+
+
+@pytest.mark.parametrize("periods", [1_000, 10_000])
+@pytest.mark.parametrize("moneyness", [0.5, 1.5])
+def test_deep_in_and_out_of_the_money_crr_calls_match_high_precision_reference(periods, moneyness):
+    params = _crr_market(periods)
+    strike = moneyness * params.stock_initial
+    expected = _mp_call_put(params, strike, periods, True)[0]
+    got = mb_price(params, CallSpec(strike), periods).price
+    assert abs(got - expected) <= 1e-10 * max(params.stock_initial, strike), (got, expected)
