@@ -2,8 +2,10 @@
 
 Configuration precedence is command-line flags over config-file values
 over built-in defaults. Exit codes: 0 success, 1 verification failure,
-2 invalid input. Diagnostics go to stderr; results go to stdout as a
-text table, CSV, or JSON.
+2 invalid input: a setting or config file that the CLI refuses (a config
+that is not UTF-8 among them), or a ValueError or OverflowError that the
+library raises for the resolved settings. Diagnostics go to stderr;
+results go to stdout as a text table, CSV, or JSON.
 """
 from __future__ import annotations
 
@@ -43,25 +45,25 @@ class RunConfig:
     output_format: str
 
 
-class CliInputError(Exception):
-    """Invalid input; the message is the one-line diagnostic (exit 2)."""
-
-
-# Settings keyed by dotted config-file path, each converted to its default's type.
-# The defaults are the reference parameters S0 = K = 100, a = -0.1, b = 0.2, r = 0.05.
-_DEFAULTS: dict[str, Any] = {
-    "market.bond_initial": 1.0,
-    "market.stock_initial": 100.0,
-    "market.rate": 0.05,
-    "market.down": -0.1,
-    "market.up": 0.2,
-    "strike": 100.0,
-    "periods": 1,
-    "model": "mb",
-    "seed": 0,
-    "samples": 0,
-    "output_format": "table",
-}
+# (flag, setting, default, help) in --help order. A setting is keyed by its dotted
+# config-file path and converted to its default's type; its flag's parameter name is
+# the setting's last part. The defaults are the reference parameters
+# S0 = K = 100, a = -0.1, b = 0.2, r = 0.05.
+_SETTINGS = (
+    ("--s0", "market.stock_initial", 100.0, "Initial stock price"),
+    ("--b0", "market.bond_initial", 1.0, "Initial bank account"),
+    ("--a", "market.down", -0.1, "Down return per period"),
+    ("--b", "market.up", 0.2, "Up return per period"),
+    ("--r", "market.rate", 0.05, "Riskless rate per period"),
+    ("--strike", "strike", 100.0, "Option strike"),
+    ("--periods", "periods", 1, "Number of periods N"),
+    ("--model", "model", "mb", "Pricing model"),
+    ("--seed", "seed", 0, "Sampling seed"),
+    ("--samples", "samples", 0, "Number of disk samples to emit"),
+    ("--format", "output_format", "table", "Output format"),
+)
+_DEFAULTS: dict[str, Any] = {key: default for _, key, default, _ in _SETTINGS}
+_CHOICES = {"model": MODELS, "output_format": OUTPUT_FORMATS}
 
 # (predicate, diagnostic) rows, checked in order; the first that fails is reported.
 # Numeric settings must be finite floats (not JSON booleans), and integer ones
@@ -91,39 +93,24 @@ _CHECKS: list[tuple[Callable[[dict[str, Any]], bool], str]] = [
     (lambda s: s["output_format"] in OUTPUT_FORMATS, "unknown output format: {output_format}"),
 ]
 
-# (flag, setting, type, help); a flag's parameter name is its setting's last part.
-_FLAGS = (
-    ("--s0", "market.stock_initial", float, "Initial stock price"),
-    ("--b0", "market.bond_initial", float, "Initial bank account"),
-    ("--a", "market.down", float, "Down return per period"),
-    ("--b", "market.up", float, "Up return per period"),
-    ("--r", "market.rate", float, "Riskless rate per period"),
-    ("--strike", "strike", float, "Option strike"),
-    ("--periods", "periods", int, "Number of periods N"),
-    ("--model", "model", click.Choice(MODELS), "Pricing model"),
-    ("--seed", "seed", int, "Sampling seed"),
-    ("--samples", "samples", int, "Number of disk samples to emit"),
-    ("--format", "output_format", click.Choice(OUTPUT_FORMATS), "Output format"),
-)
-
 
 def _read_config(path: str) -> dict[str, Any]:
     """The config file's settings; the market ones nest under "market"."""
     try:
         with open(path, encoding="utf-8") as handle:
             loaded = json.load(handle)
-    except json.JSONDecodeError as exc:
-        raise CliInputError(f"config is not valid JSON: {exc}") from exc
+    except ValueError as exc:  # JSONDecodeError, or UnicodeDecodeError on a file that is not UTF-8
+        raise ValueError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(loaded, dict):
-        raise CliInputError("config must be a JSON object")
+        raise ValueError("config must be a JSON object")
     settings = {}
     for key, value in loaded.items():
         if key == "market" and not isinstance(value, dict):
-            raise CliInputError("config key 'market' must be an object")
+            raise ValueError("config key 'market' must be an object")
         prefix, items = ("market.", value.items()) if key == "market" else ("", [(key, value)])
         for name, setting in items:
             if "." in name or prefix + name not in _DEFAULTS:
-                raise CliInputError(f"unknown config key: {prefix}{name}")
+                raise ValueError(f"unknown config key: {prefix}{name}")
             settings[prefix + name] = setting
     return settings
 
@@ -132,7 +119,7 @@ def config_from_dict(settings: dict[str, Any]) -> RunConfig:
     """Validate resolved settings, naming the violated threshold on failure."""
     for holds, diagnostic in _CHECKS:
         if not holds(settings):
-            raise CliInputError(diagnostic.format(**settings))
+            raise ValueError(diagnostic.format(**settings))
     typed = {key: type(default)(settings[key]) for key, default in _DEFAULTS.items()}
     market = MarketParams(**{key[len("market."):]: v for key, v in typed.items() if "." in key})
     return RunConfig(market=market, **{key: v for key, v in typed.items() if "." not in key})
@@ -178,7 +165,7 @@ def command(body: Callable[[RunConfig], None]) -> click.Command:
 
     @functools.wraps(body)
     def run(config_path: str | None, dump_config: bool, **flags: Any) -> None:
-        passed = {key: flags[key.rpartition(".")[2]] for _, key, _, _ in _FLAGS}
+        passed = {key: flags[key.rpartition(".")[2]] for key in _DEFAULTS}
         try:
             settings = {**_DEFAULTS, **(_read_config(config_path) if config_path else {})}
             settings.update((key, value) for key, value in passed.items() if value is not None)
@@ -187,18 +174,19 @@ def command(body: Callable[[RunConfig], None]) -> click.Command:
                 click.echo(json.dumps(dataclasses.asdict(config), indent=2))
                 return
             if config.market.rate >= config.market.up:
-                raise CliInputError("r >= b: arbitrage")
+                raise ValueError("r >= b: arbitrage")
             if config.market.rate <= config.market.down:
-                raise CliInputError("r <= a: arbitrage")
+                raise ValueError("r <= a: arbitrage")
             body(config)
-        except (CliInputError, OverflowError) as exc:
+        except (ValueError, OverflowError) as exc:  # invalid input, from the checks above or the library
             click.echo(str(exc), err=True)
             sys.exit(2)
 
     run = click.option("--dump-config", is_flag=True, help="Print the resolved config as JSON and exit")(run)
     config_file = click.Path(exists=True, dir_okay=False)
     run = click.option("--config", "config_path", type=config_file, help="JSON config file")(run)
-    for flag, key, kind, text in reversed(_FLAGS):
+    for flag, key, default, text in reversed(_SETTINGS):
+        kind = click.Choice(_CHOICES[key]) if key in _CHOICES else type(default)
         run = click.option(flag, key.rpartition(".")[2], type=kind, help=text)(run)
     return main.command()(run)
 
@@ -209,16 +197,12 @@ def price(config: RunConfig) -> None:
     params = config.market
     spec = CallSpec(config.strike)
     if config.model in ("classical", "quantum_single") and config.periods != 1:
-        raise CliInputError(f"periods > 1: model '{config.model}' is single-period")
+        raise ValueError(f"periods > 1: model '{config.model}' is single-period")
     q = classical_risk_neutral_q(params)
-    payoff = pricing.call_two_point(params, spec)
     if config.model == "classical":
-        result = pricing.single_period_price(params, payoff, model="classical")
+        result = pricing.single_period_price(params, pricing.call_two_point(params, spec), model="classical")
     elif config.model == "quantum_single":
-        try:
-            result = pricing.quantum_single_price(params, payoff)
-        except ValueError as exc:  # no faithful state at the disk center
-            raise CliInputError(str(exc)) from exc
+        result = pricing.quantum_single_price(params, pricing.call_two_point(params, spec))
     elif config.model == "mb":
         result = pricing.mb_price(params, spec, config.periods)
     else:
@@ -229,7 +213,7 @@ def price(config: RunConfig) -> None:
         "price": result.price,
         "discounted_by": result.discounted_by,
         "q": q,
-        "q_prime": q * (1.0 + params.up) / (1.0 + params.rate) if config.model == "mb" else None,
+        "q_prime": min(1.0, q * (1.0 + params.up) / (1.0 + params.rate)) if config.model == "mb" else None,
         "cutoff_tau": result.cutoff_tau,
     }
     _emit(config.output_format, fields, list(fields), [list(fields.values())], list(fields.items()))
@@ -240,10 +224,7 @@ def disk(config: RunConfig) -> None:
     """Report the risk-neutral disk geometry, optionally with samples."""
     geometry = risk_neutral_disk(config.market, default_observable(config.market))
     n = geometry.normal
-    try:
-        points = [state.bloch for state in sample_disk(geometry, config.samples, config.seed)]
-    except ValueError as exc:  # no faithful state in the disk to sample
-        raise CliInputError(str(exc)) from exc
+    points = [state.bloch for state in sample_disk(geometry, config.samples, config.seed)]
     document = {
         "radius": geometry.radius,
         "plane_offset": geometry.plane_offset,
@@ -263,11 +244,8 @@ def verify(config: RunConfig) -> None:
     from . import oracle
 
     if config.periods > oracle.DENSE_CAP:
-        raise CliInputError("N exceeds dense oracle cap")
-    try:
-        checks = oracle.run_identity_checks(config.market, config.strike, config.periods, config.seed)
-    except ValueError as exc:  # sample_disk found no faithful state in a risk-neutral disk
-        raise CliInputError(str(exc)) from exc
+        raise ValueError("N exceeds dense oracle cap")
+    checks = oracle.run_identity_checks(config.market, config.strike, config.periods, config.seed)
     document = {
         "checks": [{**dataclasses.asdict(c), "passed": c.passed} for c in checks],
         "passed": all(c.passed for c in checks),
@@ -290,7 +268,7 @@ def verify(config: RunConfig) -> None:
 def sweep(config: RunConfig) -> None:
     """Price series for N = 1..periods at fixed per-period parameters."""
     if config.model not in ("mb", "be"):
-        raise CliInputError(f"model '{config.model}': sweep requires mb or be")
+        raise ValueError(f"model '{config.model}': sweep requires mb or be")
     series = pricing.convergence_sweep(config.market, CallSpec(config.strike), config.periods, config.model)
     _emit(
         config.output_format,

@@ -333,7 +333,8 @@ def mb_price(params: MarketParams, spec: CallSpec, periods: int) -> PricingResul
     if periods < 1:
         raise ValueError("periods must be >= 1")
     q = classical_risk_neutral_q(params)
-    q_prime = q * (1.0 + params.up) / (1.0 + params.rate)
+    # q' = 1 - (b-r)(1+a)/((b-a)(1+r)) <= 1, exactly 1 at a = -1, where the product can round above 1
+    q_prime = min(1.0, q * (1.0 + params.up) / (1.0 + params.rate))
     tau = crr_cutoff_tau(params, spec, periods)
     discount = discount_factor(params.rate, periods)
     floor = 2.0**-64 / (periods + 1)

@@ -6,6 +6,7 @@ import io
 import itertools
 import json
 import math
+import random
 import shlex
 from pathlib import Path
 
@@ -13,7 +14,9 @@ import pytest
 from click.testing import CliRunner
 
 import qbinomial.oracle as oracle_module
+from qbinomial import MarketParams
 from qbinomial.cli import main
+from qbinomial.pricing import discount_factor, terminal_prices
 
 REFERENCE_FLAGS = ["--s0", "100", "--strike", "100", "--a", "-0.1", "--b", "0.2", "--r", "0.05"]
 
@@ -105,6 +108,9 @@ def test_price_invalid_market_diagnostics():
         (["price", "--model", "be", *REFERENCE_FLAGS, "--periods", "5000"], 5000),
         # With 1 + up = 10 the all-up price 100 * 10^N leaves the float range at N=307.
         (["sweep", "--model", "mb", "--a", "-0.1", "--b", "9", "--r", "0.05", "--periods", "400"], 307),
+        # The one-period call payoff 100 * (1 + 1e308) is not finite; N-period models never build it.
+        (["price", "--model", "mb", "--a", "-1", "--b", "1e308", "--r", "1e307", "--periods", "2"], 2),
+        (["price", "--model", "be", "--a", "-1", "--b", "1e308", "--r", "1e307", "--periods", "2"], 2),
     ],
 )
 def test_terminal_price_overflow_is_invalid_input(args, first_overflow):
@@ -289,6 +295,17 @@ def test_config_file_and_flag_precedence(tmp_path):
     assert json.loads(overridden.stdout)["periods"] == 1
 
 
+def test_config_that_is_not_utf8_is_invalid_input(tmp_path):
+    path = tmp_path / "run.json"
+    path.write_bytes(b'{"strike": 100.0}\xff')
+    result = _invoke(["price", "--config", str(path)])
+    assert result.exit_code == 2
+    assert result.stderr.splitlines() == [
+        "config is not valid JSON: 'utf-8' codec can't decode byte 0xff in position 17: invalid start byte"
+    ]
+    assert result.stdout == ""
+
+
 def test_config_rejects_unknown_keys(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"strike": 100.0, "volatility": 0.2}))
@@ -377,6 +394,74 @@ def test_discount_overflow_is_invalid_input(model):
     assert result.stdout == ""
 
 
+# Commands on markets that pass every check of the CLI and once ended in a traceback.
+TRACEBACK_COMMANDS = [
+    "disk --a 5e-324 --b 1e-320 --r 4.73e-321",
+    "disk --a 1e307 --b 1.7e308 --r 1.6e308",
+    "price --model classical --a -1 --b 1e308 --r 1e307",
+    "price --model mb --a -1 --b 1e308 --r 1e307 --periods 2",
+    "sweep --a -1 --b -0.2692912260267206 --r -0.5298344695251871 --periods 30",
+    "price --model mb --a -1 --b -0.2692912260267206 --r -0.5298344695251871 --periods 30",
+]
+
+
+def _extreme_commands(rng: random.Random, markets: int) -> list[list[str]]:
+    """price (each model), disk --samples 3 and sweep on markets that pass every check of the CLI.
+
+    Every number is log-uniform in magnitude from 5e-324 to 1.7e308, the down return is -1
+    in about half of the markets, and N <= 30.
+    """
+
+    def magnitude(top: float = 308.23) -> float:
+        return 10.0 ** rng.uniform(-323.3, top)
+
+    commands = []
+    while len(commands) < 6 * markets:
+        returns = {rng.choice([-1.0, -magnitude(0.0), magnitude(), magnitude()]) for _ in range(3)}
+        if len(returns) < 3:
+            continue
+        values = (*sorted(returns), magnitude(), magnitude(), magnitude())
+        names = ("--a", "--r", "--b", "--s0", "--strike", "--b0")
+        market = [*itertools.chain(*zip(names, map(repr, values)))]
+        market += ["--format", rng.choice(["table", "csv", "json"])]
+        periods = ["--periods", str(rng.randint(1, 30))]
+        commands += [
+            ["price", "--model", "classical", *market],
+            ["price", "--model", "quantum_single", *market],
+            ["price", "--model", "mb", *periods, *market],
+            ["price", "--model", "be", *periods, *market],
+            ["disk", "--samples", "3", "--seed", str(rng.randrange(2**31)), *market],
+            ["sweep", "--model", rng.choice(["mb", "be"]), *periods, *market],
+        ]
+    return commands
+
+
+def _lattice_in_range(flags: dict[str, str]) -> bool:
+    """Whether every terminal price and discount factor is a float for n <= N on the flags' market."""
+    params = MarketParams(*(float(flags[key]) for key in ("--b0", "--s0", "--r", "--a", "--b")))
+    try:
+        for n in range(1, int(flags["--periods"]) + 1):
+            terminal_prices(params, n)
+            discount_factor(params.rate, n)
+    except OverflowError:
+        return False
+    return True
+
+
+def test_every_checked_input_gets_a_result_or_a_one_line_diagnostic():
+    for argv in [*map(shlex.split, TRACEBACK_COMMANDS), *_extreme_commands(random.Random(13), 40)]:
+        result = _invoke(argv)
+        assert result.exit_code in (0, 2), (argv, result.exception)
+        if result.exit_code == 2:
+            assert len(result.stderr.splitlines()) == 1 and result.stdout == "", argv
+        # a lattice in range must price: the exit-2 path must not hide a library bug
+        flags = {"--b0": "1", "--s0": "100", "--periods": "1", "--model": "mb"}
+        flags.update(zip(argv[1::2], argv[2::2]))
+        lattice = argv[0] == "sweep" or argv[0] == "price" and flags["--model"] in ("mb", "be")
+        if lattice and _lattice_in_range(flags):
+            assert result.exit_code == 0, (argv, result.stderr)
+
+
 def test_verify_lattice_overflow_is_invalid_input():
     # 1e307 * 2^5 leaves the float range; the dense oracles stop at N=12.
     result = _invoke(["verify", "--s0", "1e307", "--b", "1", "--periods", "5"])
@@ -385,12 +470,20 @@ def test_verify_lattice_overflow_is_invalid_input():
     assert result.stdout == ""
 
 
-def test_readme_cli_example_matches_its_output():
+def _readme_block(section: str, language: str) -> str:
+    """The first ```language block under README.md's `## section` heading."""
     readme = (Path(__file__).parent.parent / "README.md").read_text()
-    block = readme.split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
-    command, *lines = block.splitlines()
+    return readme.split(f"## {section}\n", 1)[1].split(f"```{language}\n", 1)[1].split("```", 1)[0]
+
+
+def test_readme_cli_example_matches_its_output():
+    command, *lines = _readme_block("CLI", "sh").splitlines()
     expected = [line[2:] for line in itertools.takewhile(lambda line: line.startswith("# "), lines)]
     assert command.startswith("qbinomial ")
     result = _invoke(shlex.split(command)[1:])
     assert result.exit_code == 0
     assert result.stdout.splitlines() == expected
+
+
+def test_readme_library_example_runs():
+    exec(_readme_block("Library example", "python"), {})

@@ -349,6 +349,21 @@ def test_total_loss_down_return_prices_stay_finite():
         assert math.isfinite(be_price(params, spec, periods).price)
 
 
+def test_total_loss_down_return_where_q_prime_rounds_above_one():
+    # q' = 1 - (b-r)(1+a)/((b-a)(1+r)) is exactly 1 at a = -1; q (1+b)/(1+r) can round to 1 + 2^-52
+    rng = np.random.default_rng(62)
+    cases = [(MarketParams(1.0, 100.0, -0.5298344695251871, -1.0, -0.2692912260267206), 100.0, 30)]
+    for _ in range(300):
+        up = rng.uniform(-0.99, 2.0)
+        params = MarketParams(1.0, rng.uniform(20.0, 250.0), rng.uniform(-1.0, up), -1.0, up)
+        cases.append((params, random_strike(params, rng), 5))
+    for params, strike, periods in cases:
+        explicit = mb_payoff_price(params, lambda s: max(0.0, s - strike), periods)
+        assert abs(mb_price(params, CallSpec(strike), periods).price - explicit) <= 1e-10 * max(
+            params.stock_initial, strike
+        )
+
+
 def test_convergence_sweep():
     series = convergence_sweep(REFERENCE, CALL, 1, "mb")
     assert len(series) == 1
