@@ -58,7 +58,7 @@ class BlochVector:
             raise ValueError("Bloch components must be finite")
 
     def norm(self) -> float:
-        return math.sqrt(self.x * self.x + self.y * self.y + self.z * self.z)
+        return math.hypot(self.x, self.y, self.z)
 
     def dot(self, other: BlochVector) -> float:
         return self.x * other.x + self.y * other.y + self.z * other.z

@@ -20,13 +20,7 @@ from typing import Any, Callable
 import click
 
 from . import pricing
-from .market import (
-    MarketParams,
-    classical_risk_neutral_q,
-    default_observable,
-    risk_neutral_disk,
-    sample_disk,
-)
+from .market import MarketParams, default_observable, risk_neutral_disk, sample_disk
 from .pricing import MODELS, CallSpec
 
 OUTPUT_FORMATS = ("table", "csv", "json")
@@ -198,7 +192,6 @@ def price(config: RunConfig) -> None:
     spec = CallSpec(config.strike)
     if config.model in ("classical", "quantum_single") and config.periods != 1:
         raise ValueError(f"periods > 1: model '{config.model}' is single-period")
-    q = classical_risk_neutral_q(params)
     if config.model == "classical":
         result = pricing.single_period_price(params, pricing.call_two_point(params, spec), model="classical")
     elif config.model == "quantum_single":
@@ -207,15 +200,7 @@ def price(config: RunConfig) -> None:
         result = pricing.mb_price(params, spec, config.periods)
     else:
         result = pricing.be_price(params, spec, config.periods)
-    fields = {
-        "model": result.model,
-        "periods": result.periods,
-        "price": result.price,
-        "discounted_by": result.discounted_by,
-        "q": q,
-        "q_prime": min(1.0, q * (1.0 + params.up) / (1.0 + params.rate)) if config.model == "mb" else None,
-        "cutoff_tau": result.cutoff_tau,
-    }
+    fields = dataclasses.asdict(result)
     _emit(config.output_format, fields, list(fields), [list(fields.values())], list(fields.items()))
 
 
@@ -267,8 +252,6 @@ def verify(config: RunConfig) -> None:
 @command
 def sweep(config: RunConfig) -> None:
     """Price series for N = 1..periods at fixed per-period parameters."""
-    if config.model not in ("mb", "be"):
-        raise ValueError(f"model '{config.model}': sweep requires mb or be")
     series = pricing.convergence_sweep(config.market, CallSpec(config.strike), config.periods, config.model)
     _emit(
         config.output_format,

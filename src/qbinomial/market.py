@@ -136,6 +136,15 @@ def check_observable(params: MarketParams, obs: TwoLevelObservable) -> None:
         raise ValueError("observable values must match the market's (down, up)")
 
 
+def _check_disk(params: MarketParams, obs: TwoLevelObservable) -> None:
+    """Raise ValueError unless obs is the market's observable and its risk-neutral disk is nonempty."""
+    check_observable(params, obs)
+    if not is_arbitrage_free(params):
+        # exact threshold comparison on the raw parameters: the derived
+        # plane offset can round a hair below 1 right at rate == up
+        raise ValueError("empty risk-neutral disk: market admits arbitrage")
+
+
 def risk_neutral_disk(params: MarketParams, obs: TwoLevelObservable) -> RiskNeutralDisk:
     """Geometry of the set of risk-neutral states for the given observable.
 
@@ -144,29 +153,22 @@ def risk_neutral_disk(params: MarketParams, obs: TwoLevelObservable) -> RiskNeut
     cuts the open unit ball. Raises when the disk is empty, which happens
     exactly when the market admits arbitrage.
     """
-    check_observable(params, obs)
-    if not is_arbitrage_free(params):
-        # exact threshold comparison on the raw parameters: the derived
-        # plane offset can round a hair below 1 right at rate == up
-        raise ValueError("empty risk-neutral disk: market admits arbitrage")
+    _check_disk(params, obs)
     half_spread = 0.5 * (params.up - params.down)
     t = (params.rate - 0.5 * (params.down + params.up)) / half_spread
     radius = math.sqrt(max(0.0, 1.0 - t * t))
     return RiskNeutralDisk(normal=obs.unit_direction(), plane_offset=t, radius=radius)
 
 
-def disk_contains(
-    disk: RiskNeutralDisk,
-    state: DensityState,
-    obs: TwoLevelObservable,
-    rate: float,
-) -> bool:
+def disk_contains(params: MarketParams, state: DensityState, obs: TwoLevelObservable) -> bool:
     """True iff the state is faithful and prices the stock at the riskless rate.
 
-    Faithfulness plus the expectation constraint determine membership;
-    the disk argument carries the same information geometrically.
+    Those two conditions are membership in the open disk, so none is built.
+    Raises what risk_neutral_disk raises, for an observable foreign to the
+    market or an arbitrage market (whose disk is empty).
     """
-    return is_faithful(state) and abs(expectation(state, obs) - rate) < MEMBERSHIP_TOL
+    _check_disk(params, obs)
+    return is_faithful(state) and abs(expectation(state, obs) - params.rate) < MEMBERSHIP_TOL
 
 
 _MASK32, _MASK64, _MASK128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1

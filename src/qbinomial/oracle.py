@@ -82,6 +82,13 @@ def _product_basis(pairs: Sequence[tuple[np.ndarray, np.ndarray]]) -> tuple[np.n
     return basis, ups
 
 
+def _call_value(params: MarketParams, spec: CallSpec, weights: Sequence[float]) -> float:
+    """Discounted clipped call (S_n - K)^+ against weights over the up-move count n = 0..N."""
+    periods = len(weights) - 1
+    payoffs = np.maximum(np.array(pricing.terminal_prices(params, periods)) - spec.strike, 0.0)
+    return pricing.discount_factor(params.rate, periods) * float(payoffs @ np.asarray(weights))
+
+
 def _populations(rho: np.ndarray, basis: np.ndarray) -> np.ndarray:
     """Re diag(B^H rho B): the weight rho puts on each column of B."""
     return np.sum(basis.conj() * (rho @ basis), axis=0).real
@@ -139,17 +146,15 @@ def _mb_pass(
     dirs = _unit_directions(directions, states)
     observables = [make_observable(params.down, params.up, d) for d in dirs]
     for k, (state, obs) in enumerate(zip(states, observables)):
-        if not disk_contains(risk_neutral_disk(params, obs), state, obs, params.rate):
+        if not disk_contains(params, state, obs):
             raise ValueError(f"factor {k} is not in the risk-neutral disk")
     basis, ups = _product_basis([eigenbasis(obs) for obs in observables])
-    prices = np.array(pricing.terminal_prices(params, len(dirs)))
-    eigvals = prices[ups]
+    eigvals = np.array(pricing.terminal_prices(params, len(dirs)))[ups]
     residual = float(np.abs(build_stock_operator(params, dirs) @ basis - basis * eigvals).max())
     if not residual <= 1e-12 * eigvals.max():
         raise ArithmeticError(f"stock operator residual {residual:.3e} on the product eigenbasis")
     weights = np.bincount(ups, _populations(build_product_state(states), basis), len(dirs) + 1)
-    payoff = np.maximum(prices - spec.strike, 0.0) @ weights
-    return weights, pricing.discount_factor(params.rate, len(dirs)) * float(payoff)
+    return weights, _call_value(params, spec, weights)
 
 
 def oracle_price_mb(
@@ -216,12 +221,9 @@ def oracle_price_be(
     """
     if obs is None:
         obs = default_observable(params)
-    if not disk_contains(risk_neutral_disk(params, obs), state, obs, params.rate):
+    if not disk_contains(params, state, obs):
         raise ValueError("state is not in the risk-neutral disk")
-    compressed = build_symmetric_be_state(state, obs, periods)
-    payoffs = np.maximum(np.array(pricing.terminal_prices(params, periods)) - spec.strike, 0.0)
-    discount = pricing.discount_factor(params.rate, periods)
-    return discount * float(np.diag(compressed).real @ payoffs)
+    return _call_value(params, spec, np.diag(build_symmetric_be_state(state, obs, periods)).real)
 
 
 def classical_path_enumeration(
@@ -233,9 +235,7 @@ def classical_path_enumeration(
     and never computes a binomial coefficient, so agreement with the
     binomial sum genuinely checks the combinatorics.
     """
-    outcomes = enumerate_path_outcomes(params, periods)
-    total = sum(o.weight * max(0.0, o.terminal_price - spec.strike) for o in outcomes)
-    return total * pricing.discount_factor(params.rate, periods)
+    return _call_value(params, spec, [o.weight for o in enumerate_path_outcomes(params, periods)])
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,7 @@ from __future__ import annotations
 import bisect
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Callable, Literal
 
 from .bloch import DensityState, TwoLevelObservable, eigenbasis, is_faithful
@@ -58,10 +58,14 @@ class CallSpec:
 
 @dataclass(frozen=True)
 class PricingResult:
-    price: float
-    discounted_by: float
+    """A price and its risk-neutral q; only mb_price sets q' = q (1+up)/(1+rate), clamped to 1, and tau."""
+
     model: Model
     periods: int
+    price: float
+    discounted_by: float
+    q: float
+    q_prime: float | None = None
     cutoff_tau: int | None = None
 
 
@@ -85,7 +89,7 @@ def single_period_price(
     q = classical_risk_neutral_q(params)
     discount = 1.0 / (1.0 + params.rate)
     price = discount * (q * payoff.at_up + (1.0 - q) * payoff.at_down)
-    return PricingResult(price=price, discounted_by=discount, model=model, periods=1)
+    return PricingResult(model=model, periods=1, price=price, discounted_by=discount, q=q)
 
 
 def single_period_trace_price(
@@ -100,7 +104,7 @@ def single_period_trace_price(
     return observable. The supplied state must lie in the risk-neutral
     disk; the result then equals single_period_price within 1e-12.
     """
-    if not disk_contains(risk_neutral_disk(params, obs), state, obs, params.rate):
+    if not disk_contains(params, state, obs):
         raise ValueError("state is not in the risk-neutral disk")
     import numpy as np
 
@@ -121,9 +125,7 @@ def quantum_single_price(params: MarketParams, payoff: TwoPointPayoff) -> Pricin
     if not is_faithful(center):
         raise ValueError("no faithful state in the risk-neutral disk")
     price = single_period_trace_price(params, payoff, center, obs)
-    return PricingResult(
-        price=price, discounted_by=1.0 / (1.0 + params.rate), model="quantum_single", periods=1
-    )
+    return replace(single_period_price(params, payoff), price=price)
 
 
 def classical_expected_price(model: ClassicalModel, payoff: TwoPointPayoff) -> float:
@@ -157,8 +159,8 @@ def _lattice_terms(
     so the kept mass M_k = M - D is >= 1. A tail share T/M of the full mass
     then becomes T_k/M_k with T - T_k = D_T <= D, and
     |T_k/M_k - T/M| = |T D - M D_T| / (M M_k) <= D / M_k <= N floor.
-    mb_price's floor 2^-64/(N+1) moves each of its tails by less than 2^-64,
-    so a call worth under 2^-64 (S0 + K) (for r >= 0) may price as 0.0."""
+    mb_price's floors move each of its tails, the q one after discounting, by
+    less than 2^-64, so a call worth under 2^-64 (S0 + K) may price as 0.0."""
     if periods < 0:
         raise ValueError("periods must be >= 0")
     if not 0.0 <= p <= 1.0:
@@ -320,15 +322,16 @@ def mb_price(params: MarketParams, spec: CallSpec, periods: int) -> PricingResul
     q' = q (1+up)/(1+rate). The explicit binomial sum (mb_payoff_price)
     is compared with it by oracle.run_identity_checks, not here.
 
-    Each Psi sums only the binomial terms above the floor 2^-64/(N+1), about
-    ten standard deviations either side of the mode, so a call costs
-    O(sqrt(N)) instead of two full O(N) walks. By _lattice_terms' bound each
-    Psi then differs from complementary_binomial's full-lattice value by at
-    most N 2^-64/(N+1) < 2^-64, and the price by less than
-    2^-64 (S0 + K (1+r)^-N), at most 2^-64 (S0 + K) when r >= 0. The
-    accuracy is absolute: a call worth less than that may price as 0.0.
-    When every term lies above the floor, the price is bit for bit the
-    complementary_binomial form.
+    Each Psi sums only the binomial terms above a floor, about ten standard
+    deviations either side of the mode, so a call costs O(sqrt(N)) instead of
+    two full O(N) walks. The q' tail's floor is 2^-64/(N+1); the q tail's is
+    that divided by max(1, (1+r)^-N), as the discount multiplies that tail.
+    By _lattice_terms' bound the q' tail then differs from
+    complementary_binomial's full-lattice value by less than 2^-64 and the
+    discounted q tail by less than 2^-64, so the price moves by less than
+    2^-64 (S0 + K) for every r. The accuracy is absolute: a call worth less
+    than that may price as 0.0. When every term lies above the floor, the
+    price is bit for bit the complementary_binomial form.
     """
     if periods < 1:
         raise ValueError("periods must be >= 1")
@@ -340,10 +343,11 @@ def mb_price(params: MarketParams, spec: CallSpec, periods: int) -> PricingResul
     floor = 2.0**-64 / (periods + 1)
     closed = (
         params.stock_initial * _binomial_tail(tau, periods, q_prime, floor)
-        - spec.strike * discount * _binomial_tail(tau, periods, q, floor)
+        - spec.strike * discount * _binomial_tail(tau, periods, q, floor / max(1.0, discount))
     )
     return PricingResult(
-        price=max(0.0, closed), discounted_by=discount, model="mb", periods=periods, cutoff_tau=tau
+        model="mb", periods=periods, price=max(0.0, closed), discounted_by=discount,
+        q=q, q_prime=q_prime, cutoff_tau=tau,
     )
 
 
@@ -372,7 +376,7 @@ def be_price(params: MarketParams, spec: CallSpec, periods: int) -> PricingResul
     ladder = (*_price_ladder(params, periods), periods)
     paid = _normalized_sum(_lattice_terms(periods, q, False), tau, lambda s: s - spec.strike, ladder)
     discount = discount_factor(params.rate, periods)
-    return PricingResult(price=paid * discount, discounted_by=discount, model="be", periods=periods)
+    return PricingResult(model="be", periods=periods, price=paid * discount, discounted_by=discount, q=q)
 
 
 def convergence_sweep(
@@ -388,7 +392,7 @@ def convergence_sweep(
         raise ValueError("max_periods must be >= 1")
     pricer = {"mb": mb_price, "be": be_price}.get(model)
     if pricer is None:
-        raise ValueError(f"model {model!r} is single-period; sweep needs 'mb' or 'be'")
+        raise ValueError(f"model '{model}': sweep requires mb or be")
 
     def range_error(n: int) -> OverflowError | None:
         try:

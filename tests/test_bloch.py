@@ -41,6 +41,11 @@ def test_faithful_state_eigenvalues_match_dense_solver():
     assert is_faithful(state)
 
 
+def test_norm_does_not_overflow_or_underflow():
+    assert BlochVector(1e200, 0.0, 0.0).norm() == 1e200
+    assert BlochVector(0.0, -3e-200, 4e-200).norm() == pytest.approx(5e-200, rel=1e-15)
+
+
 def test_state_rejects_norm_above_one():
     with pytest.raises(ValueError):
         make_state(BlochVector(0.0, 0.0, 1.1))

@@ -6,8 +6,11 @@ import io
 import itertools
 import json
 import math
+import os
 import random
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -487,3 +490,15 @@ def test_readme_cli_example_matches_its_output():
 
 def test_readme_library_example_runs():
     exec(_readme_block("Library example", "python"), {})
+
+
+def test_verify_with_returns_near_the_float_limit_prints_one_diagnostic_line():
+    # the squares of Bloch components near 1e195 overflow, and a numpy RuntimeWarning would reach stderr
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    argv = "verify --a 1e194 --b 1e195 --r 5e194 --s0 1 --strike 1 --periods 1".split()
+    done = subprocess.run(
+        [sys.executable, "-m", "qbinomial", *argv], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 2
+    assert len(done.stderr.splitlines()) == 1, done.stderr

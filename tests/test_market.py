@@ -12,10 +12,12 @@ from conftest import REFERENCE, random_market, random_unit
 from qbinomial.bloch import TOL
 from qbinomial import (
     BlochVector,
+    CallSpec,
     ClassicalModel,
     DensityState,
     MarketParams,
     bank_value,
+    call_two_point,
     classical_risk_neutral_q,
     default_observable,
     disk_contains,
@@ -23,8 +25,11 @@ from qbinomial import (
     is_arbitrage_free,
     make_observable,
     make_state,
+    oracle_price_be,
+    oracle_price_mb,
     risk_neutral_disk,
     sample_disk,
+    single_period_trace_price,
 )
 
 
@@ -154,14 +159,13 @@ def test_disk_contains_center():
     params = _params(0.03)
     obs = default_observable(params)
     disk = risk_neutral_disk(params, obs)
-    assert disk_contains(disk, DensityState(disk.center()), obs, params.rate)
+    assert disk_contains(params, DensityState(disk.center()), obs)
 
 
 def test_disk_does_not_contain_mixed_state_off_plane():
     params = _params(0.03)  # rate != midpoint 0.05
     obs = default_observable(params)
-    disk = risk_neutral_disk(params, obs)
-    assert not disk_contains(disk, make_state(BlochVector(0, 0, 0)), obs, params.rate)
+    assert not disk_contains(params, make_state(BlochVector(0, 0, 0)), obs)
 
 
 def test_disk_excludes_boundary_states():
@@ -169,11 +173,11 @@ def test_disk_excludes_boundary_states():
     obs = default_observable(params)
     disk = risk_neutral_disk(params, obs)
     # pure high eigenstate: not faithful (and off the plane since rate < up)
-    assert not disk_contains(disk, make_state(BlochVector(0, 0, 1.0)), obs, params.rate)
+    assert not disk_contains(params, make_state(BlochVector(0, 0, 1.0)), obs)
     # boundary point on the plane: satisfies the constraint but is not faithful
     rim = BlochVector(disk.radius, 0.0, disk.plane_offset)
     assert abs(rim.norm() - 1.0) < 1e-15
-    assert not disk_contains(disk, make_state(rim), obs, params.rate)
+    assert not disk_contains(params, make_state(rim), obs)
 
 
 def test_sample_disk_empty():
@@ -191,7 +195,7 @@ def test_sample_disk_membership_and_determinism():
         states = sample_disk(disk, 100, 99)
         assert len(states) == 100
         for state in states:
-            assert disk_contains(disk, state, obs, params.rate)
+            assert disk_contains(params, state, obs)
         again = sample_disk(disk, 100, 99)
         assert [s.bloch for s in states] == [s.bloch for s in again]
         other = sample_disk(disk, 100, 100)
@@ -276,7 +280,7 @@ def test_sample_disk_stays_faithful_next_to_the_thresholds():
                 sample_disk(disk, 1, 0)
             continue
         for state in sample_disk(disk, 50, int(rng.integers(2**31))):
-            assert disk_contains(disk, state, obs, params.rate), gap
+            assert disk_contains(params, state, obs), gap
         sampled += 1
     assert sampled >= 25
 
@@ -337,3 +341,63 @@ def test_reference_market_round_numbers():
     assert classical_risk_neutral_q(REFERENCE) == 0.5
     disk = risk_neutral_disk(REFERENCE, default_observable(REFERENCE))
     assert disk.radius == 1.0
+
+
+# ------------------------------------------------------ one membership rule
+
+_CALL = CallSpec(100.0)
+_Z = BlochVector(0.0, 0.0, 1.0)
+_CENTER = DensityState(risk_neutral_disk(REFERENCE, default_observable(REFERENCE)).center())
+_ARBITRAGE = _params(0.25)
+
+# The routes that take a state, each checking it through disk_contains.
+_MEMBERSHIP_CALLERS = {
+    "single_period_trace_price": lambda p, s, o: single_period_trace_price(p, call_two_point(p, _CALL), s, o),
+    "oracle_price_be": lambda p, s, o: oracle_price_be(p, s, _CALL, 2, o),
+    "oracle_price_mb": lambda p, s, o: oracle_price_mb(p, [s, s], [o.unit_direction()] * 2, _CALL),
+}
+_MEMBERSHIP_INPUTS = {
+    "foreign observable": (REFERENCE, _CENTER, make_observable(-0.2, 0.2, _Z)),
+    "arbitrage market": (_ARBITRAGE, _CENTER, default_observable(_ARBITRAGE)),
+    "off-disk state": (REFERENCE, make_state(BlochVector(0.0, 0.0, 0.5)), default_observable(REFERENCE)),
+}
+_FOREIGN = "observable values must match the market's (down, up)"
+_EMPTY = "empty risk-neutral disk: market admits arbitrage"
+
+
+# oracle_price_mb builds each factor's observable from the market, so no foreign one reaches it.
+@pytest.mark.parametrize(
+    "caller, inputs, message",
+    [
+        ("single_period_trace_price", "foreign observable", _FOREIGN),
+        ("single_period_trace_price", "arbitrage market", _EMPTY),
+        ("single_period_trace_price", "off-disk state", "state is not in the risk-neutral disk"),
+        ("oracle_price_be", "foreign observable", _FOREIGN),
+        ("oracle_price_be", "arbitrage market", _EMPTY),
+        ("oracle_price_be", "off-disk state", "state is not in the risk-neutral disk"),
+        ("oracle_price_mb", "arbitrage market", _EMPTY),
+        ("oracle_price_mb", "off-disk state", "factor 0 is not in the risk-neutral disk"),
+    ],
+)
+def test_membership_callers_raise_the_disk_errors(caller, inputs, message):
+    with pytest.raises(ValueError) as raised:
+        _MEMBERSHIP_CALLERS[caller](*_MEMBERSHIP_INPUTS[inputs])
+    assert str(raised.value) == message
+
+
+def test_membership_builds_no_disk(monkeypatch):
+    def refuse(self):
+        raise AssertionError("a RiskNeutralDisk was built")
+
+    monkeypatch.setattr(market_module.RiskNeutralDisk, "__post_init__", refuse)
+    obs = default_observable(REFERENCE)
+    assert disk_contains(REFERENCE, _CENTER, obs)
+    for route in _MEMBERSHIP_CALLERS.values():
+        assert math.isfinite(route(REFERENCE, _CENTER, obs))
+
+
+def test_disk_of_a_market_with_a_tiny_spread():
+    # the squares of the observable's Bloch components underflow to 0 here
+    params = MarketParams(bond_initial=1.0, stock_initial=100.0, rate=5e-171, down=0.0, up=1e-170)
+    disk = risk_neutral_disk(params, default_observable(params))
+    assert (disk.normal, disk.plane_offset, disk.radius) == (BlochVector(0.0, 0.0, 1.0), 0.0, 1.0)

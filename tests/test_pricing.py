@@ -7,6 +7,7 @@ compression for the Bose-Einstein one.
 """
 from __future__ import annotations
 
+import dataclasses
 import functools
 import math
 
@@ -22,6 +23,7 @@ from qbinomial import (
     ClassicalModel,
     DensityState,
     MarketParams,
+    PricingResult,
     TwoPointPayoff,
     be_payoff_price,
     be_price,
@@ -364,6 +366,28 @@ def test_total_loss_down_return_where_q_prime_rounds_above_one():
         )
 
 
+def test_pricing_result_carries_q_and_the_clamped_q_prime():
+    # at a = -1, q' is exactly 1, but here q (1+b)/(1+r) rounds to 1 + 2^-52
+    total_loss = MarketParams(1.0, 100.0, -0.954, -1.0, 0.291)
+    for params in (REFERENCE, total_loss):
+        q = classical_risk_neutral_q(params)
+        unclamped = q * (1.0 + params.up) / (1.0 + params.rate)
+        payoff = call_two_point(params, CALL)
+        results = [
+            single_period_price(params, payoff, model="classical"),
+            pricing_module.quantum_single_price(params, payoff),
+            mb_price(params, CALL, 3),
+            be_price(params, CALL, 3),
+        ]
+        assert [r.model for r in results] == list(pricing_module.MODELS)
+        for result in results:
+            assert result.q == q
+            assert result.q_prime == (min(1.0, unclamped) if result.model == "mb" else None)
+    assert unclamped > 1.0 and mb_price(total_loss, CALL, 3).q_prime == 1.0
+    fields = [field.name for field in dataclasses.fields(PricingResult)]
+    assert fields == ["model", "periods", "price", "discounted_by", "q", "q_prime", "cutoff_tau"]
+
+
 def test_convergence_sweep():
     series = convergence_sweep(REFERENCE, CALL, 1, "mb")
     assert len(series) == 1
@@ -381,7 +405,7 @@ def test_convergence_sweep():
 
     assert convergence_sweep(REFERENCE, CALL, 6, "mb") == series
 
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^model 'classical': sweep requires mb or be$"):
         convergence_sweep(REFERENCE, CALL, 6, "classical")
     with pytest.raises(ValueError):
         convergence_sweep(REFERENCE, CALL, 0, "mb")
@@ -678,7 +702,7 @@ def test_mb_price_is_the_complementary_binomial_form_up_to_the_floor():
             assert price == full, (params, periods)
             exact += 1
         else:
-            bound = 2.0**-64 * (params.stock_initial + spec.strike * discount) + 4 * math.ulp(full)
+            bound = 2.0**-64 * (params.stock_initial + spec.strike) + 4 * math.ulp(full)
             assert abs(price - full) <= bound, (params, periods, price, full)
             bounded += 1
     assert exact >= 10 and bounded >= 5
@@ -692,3 +716,16 @@ def test_deep_in_and_out_of_the_money_crr_calls_match_high_precision_reference(p
     expected = _mp_call_put(params, strike, periods, True)[0]
     got = mb_price(params, CallSpec(strike), periods).price
     assert abs(got - expected) <= 1e-10 * max(params.stock_initial, strike), (got, expected)
+
+
+@pytest.mark.parametrize(
+    "params, strike, periods",
+    [
+        *(pytest.param(MarketParams(1.0, 100.0, -0.9, -0.95, 1.0), 100.0, n, id=f"r=-0.9-N={n}") for n in (13, 17, 18, 20)),
+        pytest.param(MarketParams(1.0, 160.734, -0.81404, -1.0, 1.08687), 104.642, 29, id="a=-1-N=29"),
+    ],
+)
+def test_mb_price_matches_the_explicit_sum_when_the_rate_is_negative(params, strike, periods):
+    # (1+r)^-N reaches 1e20 here, so a q-tail floor not divided by it misprices by percents
+    explicit = mb_payoff_price(params, lambda s: max(0.0, s - strike), periods)
+    assert mb_price(params, CallSpec(strike), periods).price == pytest.approx(explicit, rel=1e-12, abs=0.0)
