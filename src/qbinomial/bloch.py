@@ -111,7 +111,8 @@ class TwoLevelObservable:
     """Hermitian 2x2 observable with spectrum exactly {low, high}.
 
     Stored as the two eigenvalues plus a Bloch direction whose norm is
-    pinned to (high - low)/2; the matrix form is
+    pinned to (high - low)/2, within TOL relative to that norm when it
+    exceeds 1; the matrix form is
     offset*I + direction.sigma with offset = (low + high)/2.
     """
 
@@ -123,7 +124,7 @@ class TwoLevelObservable:
         if not self.low < self.high:
             raise ValueError("low must be strictly below high")
         target = 0.5 * (self.high - self.low)
-        if abs(self.direction.norm() - target) > TOL:
+        if abs(self.direction.norm() - target) > TOL * max(1.0, target):
             raise ValueError(
                 "direction norm must equal (high - low)/2; "
                 "use make_observable to scale a unit direction"

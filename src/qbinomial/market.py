@@ -22,8 +22,9 @@ from .bloch import (
     make_observable,
 )
 
-# Tolerance on the plane constraint for membership tests; matches the
-# bloch construction tolerance so membership survives round-trips.
+# Tolerance on the plane constraint for membership tests, relative to the
+# largest return once that exceeds 1; matches the bloch construction
+# tolerance so membership survives round-trips.
 MEMBERSHIP_TOL = 1e-9
 
 # Sampled radii are scaled by this factor so samples stay strictly
@@ -168,7 +169,8 @@ def disk_contains(params: MarketParams, state: DensityState, obs: TwoLevelObserv
     market or an arbitrage market (whose disk is empty).
     """
     _check_disk(params, obs)
-    return is_faithful(state) and abs(expectation(state, obs) - params.rate) < MEMBERSHIP_TOL
+    plane_tol = MEMBERSHIP_TOL * max(1.0, abs(params.down), abs(params.up))
+    return is_faithful(state) and abs(expectation(state, obs) - params.rate) < plane_tol
 
 
 _MASK32, _MASK64, _MASK128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1

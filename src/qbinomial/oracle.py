@@ -40,8 +40,8 @@ from .market import (
 )
 from .pricing import CallSpec
 
-# Memory guard for dense 2^N x 2^N construction and loop guard for path
-# enumeration; `verify --periods 12` takes about 35 s and 1.1 GB on 2 cores.
+# Memory and loop guards for dense 2^N x 2^N builds and path enumeration;
+# `verify --periods 12` takes 46 s and 1.1 GB on 2 x86-64 cores (Python 3.11, numpy 2.4).
 DENSE_CAP = 12
 PATH_CAP = 25
 
@@ -151,7 +151,7 @@ def _mb_pass(
     basis, ups = _product_basis([eigenbasis(obs) for obs in observables])
     eigvals = np.array(pricing.terminal_prices(params, len(dirs)))[ups]
     residual = float(np.abs(build_stock_operator(params, dirs) @ basis - basis * eigvals).max())
-    if not residual <= 1e-12 * eigvals.max():
+    if not residual <= max(1e-12 * eigvals.max(), 2.0**-1022):
         raise ArithmeticError(f"stock operator residual {residual:.3e} on the product eigenbasis")
     weights = np.bincount(ups, _populations(build_product_state(states), basis), len(dirs) + 1)
     return weights, _call_value(params, spec, weights)
@@ -167,8 +167,8 @@ def oracle_price_mb(
 
     S_N is diagonalized on the product of the factor eigenbases (n up-moves:
     S0 (1+up)^n (1+down)^(N-n)); a dense residual against the kron-built S_N
-    above 1e-12 of the top price raises ArithmeticError. The product state's
-    populations on those columns, summed by up-move count, weigh the clipped
+    above max(1e-12 of the top price, 2^-1022) raises ArithmeticError. The product
+    state's populations on those columns, summed by up-move count, weigh the clipped
     terminal prices. Every factor state must be risk-neutral for its own direction.
     """
     return _mb_pass(params, states, directions, spec)[1]
@@ -288,11 +288,11 @@ def _random_unit(rng: np.random.Generator) -> BlochVector:
 
 def _random_factors(
     params: MarketParams, count: int, rng: np.random.Generator
-) -> tuple[list[BlochVector], list[DensityState]]:
-    """`count` random unit directions, then one random disk state for each."""
+) -> tuple[list[DensityState], list[BlochVector]]:
+    """`count` random unit directions, then one random disk state for each: (states, directions)."""
     directions = [_random_unit(rng) for _ in range(count)]
     disks = [risk_neutral_disk(params, make_observable(params.down, params.up, d)) for d in directions]
-    return directions, [sample_disk(disk, 1, int(rng.integers(2**31)))[0] for disk in disks]
+    return [sample_disk(disk, 1, int(rng.integers(2**31)))[0] for disk in disks], directions
 
 
 def run_identity_checks(
@@ -304,11 +304,16 @@ def run_identity_checks(
 ) -> list[IdentityCheck]:
     """Run every oracle agreement suite at the given period count.
 
-    Returns one IdentityCheck per identity with the maximum absolute
-    deviation observed over `draws` random draws of directions and disk
-    states. All tolerances are 1e-10. Every check runs at the requested
-    period count; each draw of N factors feeds both the weight law and
-    the dense price.
+    Each IdentityCheck holds the largest absolute deviation over `draws`
+    draws of random directions and disk states, NaN if any draw is NaN.
+    Its tolerance is max(1e-10, 4(N+1)·ε·scale): scale is 1 for the weight
+    law and max(S0, K, S0 (1+up)^n (1+r)^-n), a bound on each discounted
+    payoff kept finite, for a price at n = N periods (n = 1 for one period).
+    Each route prices the call as a dot product of N+1 weights with payoffs
+    of N+1 roundings each (N products for S_n, a subtraction), so it is
+    within γ_{2(N+1)}·scale of the exact price (Higham, Accuracy and
+    Stability of Numerical Algorithms, 2002, §3.1) and two routes within
+    about 4(N+1)·ε·scale. The reference market's scale is < 500 to N = 12.
     """
     _check_dense_cap(periods)
     if draws < 1:
@@ -318,45 +323,30 @@ def run_identity_checks(
     q = classical_risk_neutral_q(params)
     law = np.array([math.comb(periods, n) * q**n * (1.0 - q) ** (periods - n) for n in range(periods + 1)])
     closed = pricing.mb_price(params, spec, periods).price
-
-    dev = 0.0
-    dense_prices = []
-    for _ in range(draws):
-        directions, states = _random_factors(params, periods, rng)
-        weights, price = _mb_pass(params, states, directions, spec)
-        dev = max(dev, float(np.abs(weights - law).max()))
-        dense_prices.append(price)
-    checks = [IdentityCheck("product-state weights vs binomial law", dev)]
-
+    passes = [_mb_pass(params, *_random_factors(params, periods, rng), spec) for _ in range(draws)]
+    weights, dense = (np.array(column) for column in zip(*passes))
     explicit = pricing.mb_payoff_price(params, lambda s: max(0.0, s - spec.strike), periods)
-    checks.append(IdentityCheck("crr closed form vs explicit sum", abs(closed - explicit)))
-
     paths = classical_path_enumeration(params, spec, periods)
-    checks.append(IdentityCheck("crr closed form vs path enumeration", abs(closed - paths)))
-
-    dev = max(abs(p - closed) for p in dense_prices)
-    checks.append(IdentityCheck("crr closed form vs dense product oracle", dev))
-    dev = max(dense_prices) - min(dense_prices)
-    checks.append(IdentityCheck("dense product oracle direction invariance", dev))
-
     be_closed = pricing.be_price(params, spec, periods).price
-    dev = 0.0
-    for _ in range(draws):
-        obs = make_observable(params.down, params.up, _random_unit(rng))
-        disk = risk_neutral_disk(params, obs)
-        center = DensityState(disk.center())
-        dev = max(dev, abs(oracle_price_be(params, center, spec, periods, obs) - be_closed))
-    checks.append(IdentityCheck("be closed form vs symmetric-subspace oracle", dev))
-
+    be_obs = [make_observable(params.down, params.up, _random_unit(rng)) for _ in range(draws)]
+    be_centers = [DensityState(risk_neutral_disk(params, o).center()) for o in be_obs]
+    be = np.array([oracle_price_be(params, c, spec, periods, o) for c, o in zip(be_centers, be_obs)])
     payoff = pricing.call_two_point(params, spec)
     reference = pricing.single_period_price(params, payoff).price
     obs = default_observable(params)
-    disk = risk_neutral_disk(params, obs)
-    traces = [
-        pricing.single_period_trace_price(params, payoff, state, obs)
-        for state in sample_disk(disk, 20, int(rng.integers(2**31)))
+    samples = sample_disk(risk_neutral_disk(params, obs), 20, int(rng.integers(2**31)))
+    traces = np.array([pricing.single_period_trace_price(params, payoff, state, obs) for state in samples])
+    tops = [pricing.discount_factor(params.rate, n) * pricing.terminal_prices(params, n)[-1]
+            for n in (periods, 1)]
+    scale_n, scale_1 = (min(max(params.stock_initial, strike, top), np.finfo(float).max) for top in tops)
+    rows = [
+        ("product-state weights vs binomial law", np.abs(weights - law).max(), 1.0),
+        ("crr closed form vs explicit sum", abs(closed - explicit), scale_n),
+        ("crr closed form vs path enumeration", abs(closed - paths), scale_n),
+        ("crr closed form vs dense product oracle", np.abs(dense - closed).max(), scale_n),
+        ("dense product oracle direction invariance", np.ptp(dense), scale_n),
+        ("be closed form vs symmetric-subspace oracle", np.abs(be - be_closed).max(), scale_n),
+        ("single-period state independence", max(np.ptp(traces), np.abs(traces - reference).max()), scale_1),
     ]
-    dev = max(max(traces) - min(traces), max(abs(t - reference) for t in traces))
-    checks.append(IdentityCheck("single-period state independence", dev))
-
-    return checks
+    unit = 4 * (periods + 1) * math.ulp(1.0)
+    return [IdentityCheck(name, float(dev), max(1e-10, unit * size)) for name, dev, size in rows]

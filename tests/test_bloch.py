@@ -10,6 +10,7 @@ from conftest import random_unit
 from qbinomial import (
     BlochVector,
     DensityState,
+    TwoLevelObservable,
     eigenbasis,
     expectation,
     is_faithful,
@@ -84,6 +85,16 @@ def test_make_observable_rejects_bad_inputs():
         make_observable(-0.1, 0.2, BlochVector(0.0, 0.0, 0.0))
     with pytest.raises(ValueError):
         make_observable(-0.1, 0.2, BlochVector(0.0, 0.0, 2.0))
+
+
+def test_make_observable_accepts_its_own_large_spectra():
+    # a unit direction scaled by 4.5e8 rounds its norm off by more than the absolute TOL
+    rng = np.random.default_rng(65)
+    for _ in range(50):
+        obs = make_observable(1e8, 1e9, random_unit(rng))
+        assert math.isclose(obs.direction.norm(), 4.5e8, rel_tol=1e-12)
+    with pytest.raises(ValueError, match="direction norm"):
+        TwoLevelObservable(1e8, 1e9, BlochVector(0.0, 0.0, 4.5e8 * (1.0 + 1e-8)))
 
 
 def test_expectation_of_mixed_state_is_offset():

@@ -180,6 +180,18 @@ def test_disk_excludes_boundary_states():
     assert not disk_contains(params, make_state(rim), obs)
 
 
+def test_disk_membership_with_large_returns():
+    # <v, direction> near 1e9 rounds off the plane rate = offset + <v, direction> by more than 1e-9
+    params = MarketParams(1.0, 1.0, 5e8, 1e8, 1e9)
+    rng = np.random.default_rng(33)
+    for _ in range(5):
+        obs = make_observable(params.down, params.up, random_unit(rng))
+        assert all(disk_contains(params, s, obs) for s in sample_disk(risk_neutral_disk(params, obs), 100, 99))
+    disk = risk_neutral_disk(params, default_observable(params))
+    off_plane = DensityState(BlochVector(0.0, 0.0, disk.plane_offset + 1e-6))
+    assert not disk_contains(params, off_plane, default_observable(params))
+
+
 def test_sample_disk_empty():
     params = _params(0.05)
     disk = risk_neutral_disk(params, default_observable(params))

@@ -16,6 +16,7 @@ from qbinomial import (
     BlochVector,
     CallSpec,
     DensityState,
+    MarketParams,
     build_product_state,
     build_stock_operator,
     build_symmetric_be_state,
@@ -539,6 +540,52 @@ def test_run_identity_checks_all_pass():
     assert len(checks) == 7
     for check in checks:
         assert check.passed, f"{check.name}: {check.deviation}"
+        assert check.tolerance == 1e-10
+
+
+@pytest.mark.parametrize(
+    "params, error",
+    [(REFERENCE, 1e-9), (MarketParams(1.0, 100.0, 10.0, -0.1, 1e3), 1e-3)],
+    ids=["reference", "large"],
+)
+def test_run_identity_checks_fails_a_planted_price_error(monkeypatch, params, error):
+    # the large market's tolerance is 4(N+1)·ε·S0 (1+up)^N (1+r)^-N = 2.7e-7 at N=3
+    true_paths = oracle_module.classical_path_enumeration
+    monkeypatch.setattr(oracle_module, "classical_path_enumeration", lambda *args: true_paths(*args) + error)
+    checks = run_identity_checks(params, 100.0, 3, seed=0)
+    assert [c.name for c in checks if not c.passed] == ["crr closed form vs path enumeration"]
+
+
+def test_run_identity_checks_keeps_tolerances_finite():
+    # the discounted top price 1e307 (1.5/0.5)^5 leaves the float range while the prices do not
+    checks = run_identity_checks(MarketParams(1.0, 1e307, -0.5, -0.9, 0.5), 100.0, 5, seed=0)
+    assert all(c.passed and math.isfinite(c.tolerance) for c in checks)
+
+
+# A NaN on the second of three draws, and the identities it must fail.
+NAN_DRAWS = {
+    "mb weights": ("_mb_pass", lambda out: (out[0] * math.nan, out[1]), ["product-state weights vs binomial law"]),
+    "mb price": (
+        "_mb_pass",
+        lambda out: (out[0], math.nan),
+        ["crr closed form vs dense product oracle", "dense product oracle direction invariance"],
+    ),
+    "be price": ("oracle_price_be", lambda out: math.nan, ["be closed form vs symmetric-subspace oracle"]),
+}
+
+
+@pytest.mark.parametrize("case", NAN_DRAWS)
+def test_run_identity_checks_fails_a_nan_draw(monkeypatch, case):
+    name, spoil, failing = NAN_DRAWS[case]
+    draw = itertools.count()
+
+    def spoiled(*args, original=getattr(oracle_module, name)):
+        out = original(*args)
+        return spoil(out) if next(draw) == 1 else out
+
+    monkeypatch.setattr(oracle_module, name, spoiled)
+    checks = run_identity_checks(REFERENCE, 100.0, 3, seed=0, draws=3)
+    assert [c.name for c in checks if not c.passed] == failing
 
 
 def test_run_identity_checks_takes_one_dense_pass_per_draw(monkeypatch):

@@ -2,7 +2,8 @@
 
 Markets are drawn like conftest.random_market: down in [-0.3, 0.25], a
 spread of 0.05 to 0.6, the rate 1% to 99% of the way from down to up,
-S0 in [20, 250] and the strike 0.4 to 1.9 times S0.
+S0 in [20, 250] and the strike 0.4 to 1.9 times S0. The identity checks
+also run on wide markets, whose S0 and spread are log-uniform up to 1e6.
 """
 from __future__ import annotations
 
@@ -20,6 +21,7 @@ from qbinomial import (
     classical_risk_neutral_q,
     mb_payoff_price,
     mb_price,
+    run_identity_checks,
 )
 from qbinomial.pricing import lattice_weights
 
@@ -35,6 +37,19 @@ def markets(draw) -> MarketParams:
 
 
 strike_ratios = st.floats(0.4, 1.9)
+
+
+def log_uniform(draw, low: int, high: int) -> float:
+    """A value in [10^low, 10^high): a decade drawn uniformly, then a mantissa."""
+    return 10.0 ** draw(st.integers(low, high - 1)) * draw(st.floats(1.0, 10.0, exclude_max=True))
+
+
+@st.composite
+def wide_markets(draw) -> MarketParams:
+    down = draw(st.floats(-0.9, 0.25))
+    up = down + log_uniform(draw, -2, 6)
+    rate = down + draw(st.floats(0.01, 0.99)) * (up - down)
+    return MarketParams(1.0, log_uniform(draw, -2, 6), rate, down, up)
 
 
 @PROPERTY
@@ -81,3 +96,10 @@ def test_mb_call_matches_path_enumeration(params, ratio, periods):
     spec = CallSpec(ratio * params.stock_initial)
     paths = classical_path_enumeration(params, spec, periods)
     assert abs(mb_price(params, spec, periods).price - paths) < 1e-10 * max(1.0, spec.strike)
+
+
+@PROPERTY
+@given(wide_markets(), strike_ratios, st.integers(1, 6), st.integers(0, 2**31 - 1))
+def test_identity_checks_pass_on_wide_markets(params, ratio, periods, seed):
+    checks = run_identity_checks(params, ratio * params.stock_initial, periods, seed, draws=1)
+    assert [(c.name, c.deviation, c.tolerance) for c in checks if not c.passed] == []
