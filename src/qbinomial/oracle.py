@@ -7,9 +7,11 @@ projector sums, the BE symmetric basis and the stock operator's
 eigenvectors (checked by a dense residual), and plain 2^N path
 enumeration of the classical model. Each MB draw takes one dense pass:
 one product state, eigenbasis and population vector give both its
-weight law and its price. No weight or price route from the pricing
-module is reused, only its terminal-price ladder and discount factor;
-exactness and auditability are the point, not speed.
+weight law and its price. No oracle reuses a weight or price route from
+the pricing module, only its terminal-price ladder and discount factor;
+run_identity_checks compares the oracles with those routes, the weight
+law with the kernel's lattice_weights. Exactness and auditability are the
+point, not speed.
 """
 from __future__ import annotations
 
@@ -321,7 +323,7 @@ def run_identity_checks(
     spec = CallSpec(strike)
     rng = np.random.default_rng(seed)
     q = classical_risk_neutral_q(params)
-    law = np.array([math.comb(periods, n) * q**n * (1.0 - q) ** (periods - n) for n in range(periods + 1)])
+    law = np.array(pricing.lattice_weights(periods, q, binomial=True))
     closed = pricing.mb_price(params, spec, periods).price
     passes = [_mb_pass(params, *_random_factors(params, periods, rng), spec) for _ in range(draws)]
     weights, dense = (np.array(column) for column in zip(*passes))

@@ -1,8 +1,9 @@
 """Payoff definitions and closed-form option pricing.
 
 Four pricing routes live here: the classical subjective (Bernoulli)
-price, the single-period risk-neutral price (identical for every state
-in the risk-neutral disk), the N-period Maxwell-Boltzmann price in
+price, the single-period risk-neutral price (the Bernoulli price at q,
+which every state in the risk-neutral disk gives as its Born-rule
+price), the N-period Maxwell-Boltzmann price in
 Cox-Ross-Rubinstein form, and the N-period Bose-Einstein price whose
 weights are a normalized geometric family rather than binomial terms.
 """
@@ -14,7 +15,7 @@ import sys
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Callable, Literal
 
-from .bloch import DensityState, TwoLevelObservable, eigenbasis, is_faithful
+from .bloch import DensityState, TwoLevelObservable, is_faithful
 from .market import (
     ClassicalModel,
     MarketParams,
@@ -76,10 +77,20 @@ def call_two_point(params: MarketParams, spec: CallSpec) -> TwoPointPayoff:
     return TwoPointPayoff(at_down=at_down, at_up=at_up)
 
 
+def classical_expected_price(model: ClassicalModel, payoff: TwoPointPayoff) -> float:
+    """Bernoulli price: the expectation of a one-period payoff under p, discounted by 1/(1+r).
+
+    Every one-period price is this one: the risk-neutral price at p = q, and
+    the quantum price of a state at its Born probability of the up return.
+    """
+    p = model.up_probability
+    return 1.0 / (1.0 + model.params.rate) * (p * payoff.at_up + (1.0 - p) * payoff.at_down)
+
+
 def single_period_price(
     params: MarketParams, payoff: TwoPointPayoff, *, model: Model = "quantum_single"
 ) -> PricingResult:
-    """Discounted risk-neutral expectation of a one-period payoff.
+    """Discounted risk-neutral expectation of a one-period payoff: the Bernoulli price at q.
 
     This is the state-independent price: every state in the risk-neutral
     disk gives the same number (see single_period_trace_price). The
@@ -87,9 +98,8 @@ def single_period_price(
     labels the result.
     """
     q = classical_risk_neutral_q(params)
-    discount = 1.0 / (1.0 + params.rate)
-    price = discount * (q * payoff.at_up + (1.0 - q) * payoff.at_down)
-    return PricingResult(model=model, periods=1, price=price, discounted_by=discount, q=q)
+    price = classical_expected_price(ClassicalModel(params, q), payoff)
+    return PricingResult(model=model, periods=1, price=price, discounted_by=1.0 / (1.0 + params.rate), q=q)
 
 
 def single_period_trace_price(
@@ -98,23 +108,22 @@ def single_period_trace_price(
     state: DensityState,
     obs: TwoLevelObservable,
 ) -> float:
-    """One-period price as the discounted dense trace tr(rho H).
+    """One-period price tr(rho H)/(1+r) of the payoff observable H = U |u><u| + D |v><v|.
 
-    H is the payoff observable assembled from the eigenprojectors of the
-    return observable. The supplied state must lie in the risk-neutral
-    disk; the result then equals single_period_price within 1e-12.
+    That trace is the Bernoulli price at the state's Born probability of the
+    up return, <u|rho|u> = (1 + <bloch, n>)/2 for the unit direction n, so no
+    matrix is built. The supplied state must lie in the risk-neutral disk,
+    which is where that probability equals q; for a state on the disk's
+    plane the result equals single_period_price up to rounding.
     """
     if not disk_contains(params, state, obs):
         raise ValueError("state is not in the risk-neutral disk")
-    import numpy as np
-
-    u, v = eigenbasis(obs)
-    h = payoff.at_up * np.outer(u, u.conj()) + payoff.at_down * np.outer(v, v.conj())
-    return float(np.trace(state.matrix() @ h).real) / (1.0 + params.rate)
+    born = 0.5 * (1.0 + state.bloch.dot(obs.unit_direction()))
+    return classical_expected_price(ClassicalModel(params, born), payoff)
 
 
 def quantum_single_price(params: MarketParams, payoff: TwoPointPayoff) -> PricingResult:
-    """One-period price as the dense trace at the center of the risk-neutral disk.
+    """One-period price of the center of the risk-neutral disk, by its Born probability.
 
     Uses the default (+z) return observable; any state of the disk would
     give the same price. The center is the disk's most mixed state, so when
@@ -126,16 +135,6 @@ def quantum_single_price(params: MarketParams, payoff: TwoPointPayoff) -> Pricin
         raise ValueError("no faithful state in the risk-neutral disk")
     price = single_period_trace_price(params, payoff, center, obs)
     return replace(single_period_price(params, payoff), price=price)
-
-
-def classical_expected_price(model: ClassicalModel, payoff: TwoPointPayoff) -> float:
-    """Subjective Bernoulli price: discounted expectation under p.
-
-    Coincides with the risk-neutral price exactly when p equals the
-    risk-neutral up-probability.
-    """
-    p = model.up_probability
-    return (p * payoff.at_up + (1.0 - p) * payoff.at_down) / (1.0 + model.params.rate)
 
 
 def _lattice_terms(
@@ -210,22 +209,17 @@ def lattice_weights(periods: int, p: float, binomial: bool) -> list[float]:
 
 
 def _normalized_sum(
-    walk: tuple[int, list[float]],
-    start: int,
-    payoff: Callable[[float], float] | None = None,
-    ladder: tuple = (),
+    walk: tuple[int, list[float]], start: int, payoff: Callable[[float], float], ladder: tuple
 ) -> float:
-    """Sum over the walked nodes n >= start of w_n * payoff(S_n), or of w_n alone with no payoff, in
-    increasing n; w_n = t_n / sum(t) over the walk (lo, t) of _lattice_terms, S_n = s0 grow^n
-    shrink^(N-n) with ladder = (s0, grow, shrink, N). On a walk with the default floor, bit for bit the
-    full sum over lattice_weights and terminal_prices when the payoff is 0 below start, as unwalked and
-    skipped nodes add +0.0. Keep the built-in sum(): from 3.12 on it compensates rounding."""
+    """Sum over the walked nodes n >= start of w_n * payoff(S_n) in increasing n; w_n = t_n / sum(t)
+    over the walk (lo, t) of _lattice_terms, S_n = s0 grow^n shrink^(N-n) with ladder = (s0, grow,
+    shrink, N). On a walk with the default floor, bit for bit the full sum over lattice_weights and
+    terminal_prices when the payoff is 0 below start, as unwalked and skipped nodes add +0.0. Keep
+    the built-in sum(): from 3.12 on it compensates rounding."""
     lo, terms = walk
     mass = sum(terms)
     if start > lo:
         lo, terms = start, terms[start - lo :]
-    if payoff is None:
-        return sum([w / mass for w in terms], 0.0)
     s0, grow, shrink, top = ladder
     nodes = enumerate(terms, lo)
     return sum([x * payoff(s0 * grow**n * shrink ** (top - n)) for n, w in nodes if (x := w / mass)])
@@ -273,9 +267,13 @@ def complementary_binomial(m: int, n: int, p: float) -> float:
 
 
 def _binomial_tail(m: int, n: int, p: float, floor: float = 0.0) -> float:
-    """complementary_binomial over the binomial walk stopped at floor (see _lattice_terms)."""
-    walk = _lattice_terms(n, p, True, floor)
-    return 1.0 if m == 0 else _normalized_sum(walk, m)
+    """complementary_binomial over the binomial walk stopped at floor (see _lattice_terms): the
+    walked weights t_j / sum(t) for j >= m, summed in increasing j."""
+    lo, terms = _lattice_terms(n, p, True, floor)
+    if m == 0:
+        return 1.0
+    mass = sum(terms)
+    return sum([w / mass for w in terms[max(0, m - lo) :]], 0.0)
 
 
 def crr_cutoff_tau(params: MarketParams, spec: CallSpec, periods: int) -> int:

@@ -1,9 +1,9 @@
 """Which entry points load numpy.
 
 Scalar pricing and disk sampling (the package import, the CLI import, and
-the price, sweep and disk commands) never load numpy; the dense paths load
-it on first use and still work. Each check runs in a fresh interpreter,
-because this test process has numpy loaded already.
+the price, sweep and disk commands, in every model) never load numpy; the
+dense paths of verify load it on first use and still work. Each check runs
+in a fresh interpreter, because this test process has numpy loaded already.
 """
 from __future__ import annotations
 
@@ -25,6 +25,7 @@ NUMPY_FREE_COMMANDS = [
     ["price", "--model", "mb", "--periods", "2"],
     ["price", "--model", "be", "--periods", "2"],
     ["price", "--model", "classical"],
+    ["price", "--model", "quantum_single"],
     ["sweep", "--periods", "20"],
     ["disk", "--samples", "0"],
     ["disk", "--samples", "4"],
@@ -72,9 +73,9 @@ print(json.dumps(loaded_by))
 @pytest.mark.parametrize(
     "argv",
     [
-        ["price", "--model", "quantum_single"],
         ["verify", "--periods", "3"],
         ["verify", "--periods", "1"],
+        ["verify", "--periods", "2", "--format", "json"],
     ],
 )
 def test_dense_commands_load_numpy_on_first_use(argv):

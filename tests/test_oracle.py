@@ -556,6 +556,20 @@ def test_run_identity_checks_fails_a_planted_price_error(monkeypatch, params, er
     assert [c.name for c in checks if not c.passed] == ["crr closed form vs path enumeration"]
 
 
+def test_run_identity_checks_reads_the_kernel_weights(monkeypatch):
+    # the weight row compares the dense weights with the kernel's own binomial law
+    true_weights = oracle_module.pricing.lattice_weights
+
+    def planted(periods, p, binomial):
+        weights = true_weights(periods, p, binomial)
+        weights[1] += 1e-9
+        return weights
+
+    monkeypatch.setattr(oracle_module.pricing, "lattice_weights", planted)
+    checks = run_identity_checks(REFERENCE, 100.0, 3, seed=0)
+    assert [c.name for c in checks if not c.passed] == ["product-state weights vs binomial law"]
+
+
 def test_run_identity_checks_keeps_tolerances_finite():
     # the discounted top price 1e307 (1.5/0.5)^5 leaves the float range while the prices do not
     checks = run_identity_checks(MarketParams(1.0, 1e307, -0.5, -0.9, 0.5), 100.0, 5, seed=0)

@@ -35,6 +35,7 @@ from qbinomial import (
     convergence_sweep,
     crr_cutoff_tau,
     default_observable,
+    eigenbasis,
     make_observable,
     mb_payoff_price,
     mb_price,
@@ -131,6 +132,46 @@ def test_trace_form_rejects_off_disk_state():
     rim = DensityState(BlochVector(disk.radius, 0.0, disk.plane_offset))
     with pytest.raises(ValueError, match="not in the risk-neutral disk"):
         single_period_trace_price(params, TwoPointPayoff(0.0, 20.0), rim, obs)
+
+
+def test_born_rule_price_is_the_dense_trace():
+    # tr(rho H)/(1+r) with H = U |u><u| + D |v><v| built from the observable's eigenvectors
+    rng = np.random.default_rng(41)
+    fixed = [BlochVector(0.0, 0.0, 1.0), BlochVector(0.0, 0.0, -1.0)]
+    for _ in range(12):
+        params = random_market(rng)
+        strike = random_strike(params, rng)
+        down, up = (params.stock_initial * (1.0 + ret) for ret in (params.down, params.up))
+        payoffs = [
+            call_two_point(params, CallSpec(strike)),
+            TwoPointPayoff(max(0.0, strike - down), max(0.0, strike - up)),
+            TwoPointPayoff(strike, strike),
+            TwoPointPayoff(0.0, 0.0),
+        ]
+        low_z = random_unit(rng)
+        low_z = BlochVector(low_z.x, low_z.y, -abs(low_z.z))
+        for direction in [*fixed, low_z, random_unit(rng)]:
+            obs = make_observable(params.down, params.up, direction)
+            u, v = eigenbasis(obs)
+            for state in sample_disk(risk_neutral_disk(params, obs), 10, int(rng.integers(2**31))):
+                for payoff in payoffs:
+                    h = payoff.at_up * np.outer(u, u.conj()) + payoff.at_down * np.outer(v, v.conj())
+                    dense = np.trace(state.matrix() @ h).real / (1.0 + params.rate)
+                    born = single_period_trace_price(params, payoff, state, obs)
+                    assert abs(born - dense) <= 1e-13 * max(payoff.at_up, payoff.at_down)
+    obs = default_observable(REFERENCE)
+    center = DensityState(risk_neutral_disk(REFERENCE, obs).center())
+    assert math.isfinite(single_period_trace_price(REFERENCE, TwoPointPayoff(1e308, 1e308), center, obs))
+
+
+def test_risk_neutral_price_is_the_bernoulli_price_at_q():
+    rng = np.random.default_rng(42)
+    for _ in range(2000):
+        params = random_market(rng)
+        payoff = TwoPointPayoff(*rng.uniform(0.0, params.stock_initial, size=2))
+        q = classical_risk_neutral_q(params)
+        at_q = classical_expected_price(ClassicalModel(params, q), payoff)
+        assert at_q == single_period_price(params, payoff).price
 
 
 def test_classical_expected_price():
