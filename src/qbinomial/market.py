@@ -3,8 +3,9 @@
 A single-period market is a bank account growing at rate r and a stock
 whose return takes the two values down (a) and up (b). The risk-neutral
 states of the two-level quantum model form an open disk cut from the
-open unit Bloch ball by the plane <direction, v> = r - (a+b)/2; this
-module builds that disk, tests membership, and samples it.
+open unit Bloch ball by the plane <normal, v> = q - q̄ (risk-neutral up
+minus down probability); this module builds that disk, tests membership,
+and samples it.
 """
 from __future__ import annotations
 
@@ -17,14 +18,13 @@ from .bloch import (
     BlochVector,
     DensityState,
     TwoLevelObservable,
-    expectation,
     is_faithful,
     make_observable,
 )
 
-# Tolerance on the plane constraint for membership tests, relative to the
-# largest return once that exceeds 1; matches the bloch construction
-# tolerance so membership survives round-trips.
+# Tolerance on the plane constraint for membership tests, in Bloch units
+# (the state's component along the normal against the plane offset);
+# matches the bloch construction tolerance so membership survives round-trips.
 MEMBERSHIP_TOL = 1e-9
 
 # Sampled radii are scaled by this factor so samples stay strictly
@@ -133,44 +133,44 @@ def default_observable(params: MarketParams) -> TwoLevelObservable:
 
 def check_observable(params: MarketParams, obs: TwoLevelObservable) -> None:
     """Raise ValueError unless the observable takes the market's (down, up) values."""
-    if abs(obs.low - params.down) > TOL or abs(obs.high - params.up) > TOL:
+    tol = TOL * (params.up - params.down)
+    if abs(obs.low - params.down) > tol or abs(obs.high - params.up) > tol:
         raise ValueError("observable values must match the market's (down, up)")
 
 
-def _check_disk(params: MarketParams, obs: TwoLevelObservable) -> None:
-    """Raise ValueError unless obs is the market's observable and its risk-neutral disk is nonempty."""
+def _plane(params: MarketParams, obs: TwoLevelObservable) -> tuple[BlochVector, float, float]:
+    """(normal, offset, radius) of the disk; ValueError for a foreign observable or an empty disk."""
     check_observable(params, obs)
     if not is_arbitrage_free(params):
         # exact threshold comparison on the raw parameters: the derived
         # plane offset can round a hair below 1 right at rate == up
         raise ValueError("empty risk-neutral disk: market admits arbitrage")
+    q = classical_risk_neutral_q(params)
+    q_bar = (params.up - params.rate) / (params.up - params.down)
+    return obs.unit_direction(), q - q_bar, 2.0 * math.sqrt(q * q_bar)
 
 
 def risk_neutral_disk(params: MarketParams, obs: TwoLevelObservable) -> RiskNeutralDisk:
     """Geometry of the set of risk-neutral states for the given observable.
 
-    The observable must carry the market's own return values; the result
-    is the open disk where the plane <direction, v> = rate - (down+up)/2
-    cuts the open unit ball. Raises when the disk is empty, which happens
-    exactly when the market admits arbitrage.
+    The observable must carry the market's own return values; the result is
+    the open disk where the plane <normal, v> = q - q̄ cuts the open unit ball,
+    of radius 2·sqrt(q·q̄), for the risk-neutral up and down probabilities
+    q = (rate-down)/(up-down) and q̄ = (up-rate)/(up-down). Raises when the
+    disk is empty, which happens exactly when the market admits arbitrage.
     """
-    _check_disk(params, obs)
-    half_spread = 0.5 * (params.up - params.down)
-    t = (params.rate - 0.5 * (params.down + params.up)) / half_spread
-    radius = math.sqrt(max(0.0, 1.0 - t * t))
-    return RiskNeutralDisk(normal=obs.unit_direction(), plane_offset=t, radius=radius)
+    normal, t, radius = _plane(params, obs)
+    return RiskNeutralDisk(normal=normal, plane_offset=t, radius=radius)
 
 
 def disk_contains(params: MarketParams, state: DensityState, obs: TwoLevelObservable) -> bool:
-    """True iff the state is faithful and prices the stock at the riskless rate.
+    """True iff the state is faithful and its Bloch component along the normal is q - q̄.
 
-    Those two conditions are membership in the open disk, so none is built.
-    Raises what risk_neutral_disk raises, for an observable foreign to the
-    market or an arbitrage market (whose disk is empty).
+    On that plane a state prices the stock at the riskless rate; no disk is built.
+    Raises what risk_neutral_disk raises (foreign observable, arbitrage market).
     """
-    _check_disk(params, obs)
-    plane_tol = MEMBERSHIP_TOL * max(1.0, abs(params.down), abs(params.up))
-    return is_faithful(state) and abs(expectation(state, obs) - params.rate) < plane_tol
+    normal, t, _ = _plane(params, obs)
+    return is_faithful(state) and abs(state.bloch.dot(normal) - t) < MEMBERSHIP_TOL
 
 
 _MASK32, _MASK64, _MASK128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1

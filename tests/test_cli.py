@@ -231,6 +231,7 @@ WIDE_VERIFY_MARKETS = [
     "--b 1e6 --r 100 --periods 3",
     "--a 1e8 --b 1e9 --r 5e8 --s0 1 --strike 1 --periods 3",
     "--a -1 --b 6.947782662540401e-89 --r -0.8554644717678815 --s0 1e-320 --strike 2.41491065118875e-86 --periods 2",
+    "--a 0.04999999 --b 0.05000001 --r 0.05 --periods 5",
 ]
 
 

@@ -2,13 +2,18 @@
 from __future__ import annotations
 
 import dataclasses
+import decimal
 import math
+import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
+import qbinomial.cli as cli_module
 import qbinomial.market as market_module
 from conftest import REFERENCE, random_market, random_unit
+from test_cli import WIDE_VERIFY_MARKETS
 from qbinomial.bloch import TOL
 from qbinomial import (
     BlochVector,
@@ -361,6 +366,8 @@ _CALL = CallSpec(100.0)
 _Z = BlochVector(0.0, 0.0, 1.0)
 _CENTER = DensityState(risk_neutral_disk(REFERENCE, default_observable(REFERENCE)).center())
 _ARBITRAGE = _params(0.25)
+_TINY = MarketParams(1.0, 100.0, 5e-13, 0.0, 1e-12)
+_NARROW = MarketParams(1.0, 100.0, 0.05, 0.05 - 5e-9, 0.05 + 5e-9)
 
 # The routes that take a state, each checking it through disk_contains.
 _MEMBERSHIP_CALLERS = {
@@ -372,6 +379,10 @@ _MEMBERSHIP_INPUTS = {
     "foreign observable": (REFERENCE, _CENTER, make_observable(-0.2, 0.2, _Z)),
     "arbitrage market": (_ARBITRAGE, _CENTER, default_observable(_ARBITRAGE)),
     "off-disk state": (REFERENCE, make_state(BlochVector(0.0, 0.0, 0.5)), default_observable(REFERENCE)),
+    # its low value is 40% of the spread off the market's down return
+    "foreign observable, tiny spread": (_TINY, _CENTER, make_observable(4e-13, 1e-12, _Z)),
+    # p = 0.55 against q = 0.5: off the plane by 0.1 in Bloch units, by 1e-9 in returns
+    "off-disk state, narrow spread": (_NARROW, make_state(_Z.scaled(0.1)), default_observable(_NARROW)),
 }
 _FOREIGN = "observable values must match the market's (down, up)"
 _EMPTY = "empty risk-neutral disk: market admits arbitrage"
@@ -384,11 +395,16 @@ _EMPTY = "empty risk-neutral disk: market admits arbitrage"
         ("single_period_trace_price", "foreign observable", _FOREIGN),
         ("single_period_trace_price", "arbitrage market", _EMPTY),
         ("single_period_trace_price", "off-disk state", "state is not in the risk-neutral disk"),
+        ("single_period_trace_price", "foreign observable, tiny spread", _FOREIGN),
+        ("single_period_trace_price", "off-disk state, narrow spread", "state is not in the risk-neutral disk"),
         ("oracle_price_be", "foreign observable", _FOREIGN),
         ("oracle_price_be", "arbitrage market", _EMPTY),
         ("oracle_price_be", "off-disk state", "state is not in the risk-neutral disk"),
+        ("oracle_price_be", "foreign observable, tiny spread", _FOREIGN),
+        ("oracle_price_be", "off-disk state, narrow spread", "state is not in the risk-neutral disk"),
         ("oracle_price_mb", "arbitrage market", _EMPTY),
         ("oracle_price_mb", "off-disk state", "factor 0 is not in the risk-neutral disk"),
+        ("oracle_price_mb", "off-disk state, narrow spread", "factor 0 is not in the risk-neutral disk"),
     ],
 )
 def test_membership_callers_raise_the_disk_errors(caller, inputs, message):
@@ -413,3 +429,39 @@ def test_disk_of_a_market_with_a_tiny_spread():
     params = MarketParams(bond_initial=1.0, stock_initial=100.0, rate=5e-171, down=0.0, up=1e-170)
     disk = risk_neutral_disk(params, default_observable(params))
     assert (disk.normal, disk.plane_offset, disk.radius) == (BlochVector(0.0, 0.0, 1.0), 0.0, 1.0)
+
+
+def _decimal_narrow_market(rng: np.random.Generator) -> MarketParams:
+    """An arbitrage-free market typed as 12-digit decimals, with a spread in [1e-10, 1e-2]."""
+    while True:
+        center, spread = rng.uniform(-0.2, 0.3), 10 ** rng.uniform(-10, -2)
+        down, up = (float(f"{x:.12g}") for x in (center - spread / 2, center + spread / 2))
+        params = MarketParams(1.0, 100.0, float(f"{rng.uniform(down, up):.12g}"), down, up)
+        if is_arbitrage_free(params):
+            return params
+
+
+def _wide_verify_market(argv: str) -> MarketParams:
+    """The market of one `verify` command line of tests/test_cli.py."""
+    keys = {flag: key for flag, key, _, _ in cli_module._SETTINGS}
+    words = argv.split()
+    flags = {keys[flag]: float(value) for flag, value in zip(words[::2], words[1::2])}
+    return cli_module.config_from_dict({**cli_module._DEFAULTS, **flags}).market
+
+
+def test_disk_geometry_is_within_four_epsilon_of_exact():
+    # Exact: offset (2r - a - b)/(b - a) and radius 2·sqrt((r - a)(b - r))/(b - a) of the floats given.
+    eps = sys.float_info.epsilon
+    rng = np.random.default_rng(39)
+    markets = [_near_a_threshold(rng, gap) for gap in np.geomspace(1e-15, 0.5, 200)]
+    markets += [_decimal_narrow_market(rng) for _ in range(200)]
+    markets += [_wide_verify_market(argv) for argv in WIDE_VERIFY_MARKETS]
+    for params in markets:
+        disk = risk_neutral_disk(params, default_observable(params))
+        down, up, rate = map(Fraction, (params.down, params.up, params.rate))
+        assert abs(Fraction(disk.plane_offset) - (2 * rate - down - up) / (up - down)) <= 4 * eps, params
+        squared = 4 * (rate - down) * (up - rate) / (up - down) ** 2
+        with decimal.localcontext() as context:
+            context.prec = 50
+            radius = (decimal.Decimal(squared.numerator) / squared.denominator).sqrt()
+            assert abs(decimal.Decimal(disk.radius) - radius) <= 4 * decimal.Decimal(eps) * radius, params
