@@ -258,8 +258,8 @@ def discount_factor(rate: float, periods: int) -> float:
 def complementary_binomial(m: int, n: int, p: float) -> float:
     """Upper binomial tail: sum of C(n,j) p^j (1-p)^(n-j) for j = m..n.
 
-    By convention the full sum (m <= 0) is exactly 1 and the empty sum
-    (m = n+1) exactly 0.
+    By convention the full sum (m = 0) is exactly 1 and the empty sum
+    (m = n+1) exactly 0; both return without walking the lattice.
     """
     if not 0 <= m <= n + 1:
         raise ValueError("m must lie in [0, n+1]")
@@ -268,10 +268,11 @@ def complementary_binomial(m: int, n: int, p: float) -> float:
 
 def _binomial_tail(m: int, n: int, p: float, floor: float = 0.0) -> float:
     """complementary_binomial over the binomial walk stopped at floor (see _lattice_terms): the
-    walked weights t_j / sum(t) for j >= m, summed in increasing j."""
+    walked weights t_j / sum(t) for j >= m, summed in increasing j. The full (m = 0) and empty
+    (m > n) sums are 1.0 and 0.0 with no walk; an invalid n or p still raises in the walk."""
+    if (m == 0 or m > n) and n >= 0 and 0.0 <= p <= 1.0:
+        return 1.0 if m == 0 else 0.0
     lo, terms = _lattice_terms(n, p, True, floor)
-    if m == 0:
-        return 1.0
     mass = sum(terms)
     return sum([w / mass for w in terms[max(0, m - lo) :]], 0.0)
 
@@ -343,10 +344,7 @@ def mb_price(params: MarketParams, spec: CallSpec, periods: int) -> PricingResul
         params.stock_initial * _binomial_tail(tau, periods, q_prime, floor)
         - spec.strike * discount * _binomial_tail(tau, periods, q, floor / max(1.0, discount))
     )
-    return PricingResult(
-        model="mb", periods=periods, price=max(0.0, closed), discounted_by=discount,
-        q=q, q_prime=q_prime, cutoff_tau=tau,
-    )
+    return PricingResult("mb", periods, max(0.0, closed), discount, q, q_prime, tau)
 
 
 def be_weights(params: MarketParams, periods: int) -> np.ndarray:
@@ -371,10 +369,12 @@ def be_price(params: MarketParams, spec: CallSpec, periods: int) -> PricingResul
         raise ValueError("periods must be >= 1")
     q = classical_risk_neutral_q(params)
     tau = crr_cutoff_tau(params, spec, periods)
+    discount = discount_factor(params.rate, periods)
+    if tau > periods:  # no node pays, so the walk would sum nothing
+        return PricingResult("be", periods, 0.0, discount, q)
     ladder = (*_price_ladder(params, periods), periods)
     paid = _normalized_sum(_lattice_terms(periods, q, False), tau, lambda s: s - spec.strike, ladder)
-    discount = discount_factor(params.rate, periods)
-    return PricingResult(model="be", periods=periods, price=paid * discount, discounted_by=discount, q=q)
+    return PricingResult("be", periods, paid * discount, discount, q)
 
 
 def convergence_sweep(

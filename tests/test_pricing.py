@@ -225,6 +225,10 @@ def test_complementary_binomial_rejects_bad_arguments():
         complementary_binomial(7, 5, 0.5)
     with pytest.raises(ValueError):
         complementary_binomial(1, 5, 1.5)
+    # the full and empty sums need no walk, but still check n and p
+    for m, n, p, message in ((0, 5, 1.5, "p must lie"), (6, 5, 1.5, "p must lie"), (0, -1, 0.5, "periods")):
+        with pytest.raises(ValueError, match=message):
+            complementary_binomial(m, n, p)
 
 
 def test_crr_cutoff_tau():
@@ -727,26 +731,64 @@ def test_mb_price_is_the_complementary_binomial_form_up_to_the_floor():
     rng = np.random.default_rng(89)
     exact = bounded = 0
     for params, periods in _kernel_markets(90):
-        spec = CallSpec(random_strike(params, rng))
         q = classical_risk_neutral_q(params)
         q_prime = q * (1.0 + params.up) / (1.0 + params.rate)
-        tau = crr_cutoff_tau(params, spec, periods)
         discount = pricing_module.discount_factor(params.rate, periods)
-        full = max(
-            0.0,
-            params.stock_initial * complementary_binomial(tau, periods, q_prime)
-            - spec.strike * discount * complementary_binomial(tau, periods, q),
-        )
-        price = mb_price(params, spec, periods).price
         walk = functools.partial(pricing_module._lattice_terms, periods, binomial=True)
-        if all(walk(p, floor=_mb_floor(periods)) == walk(p) for p in (q, q_prime)):
-            assert price == full, (params, periods)
-            exact += 1
-        else:
-            bound = 2.0**-64 * (params.stock_initial + spec.strike) + 4 * math.ulp(full)
-            assert abs(price - full) <= bound, (params, periods, price, full)
-            bounded += 1
+        prices = pricing_module.terminal_prices(params, periods)
+        # a random strike, and the end strikes with tau = 0 and tau = N+1
+        for strike in (random_strike(params, rng), prices[0] / 2.0, prices[-1] * 1.5):
+            spec = CallSpec(strike)
+            tau = crr_cutoff_tau(params, spec, periods)
+            full = max(
+                0.0,
+                params.stock_initial * complementary_binomial(tau, periods, q_prime)
+                - spec.strike * discount * complementary_binomial(tau, periods, q),
+            )
+            price = mb_price(params, spec, periods).price
+            if all(walk(p, floor=_mb_floor(periods)) == walk(p) for p in (q, q_prime)):
+                assert price == full, (params, periods, strike)
+                exact += 1
+            else:
+                bound = 2.0**-64 * (params.stock_initial + spec.strike) + 4 * math.ulp(full)
+                assert abs(price - full) <= bound, (params, periods, strike, price, full)
+                bounded += 1
     assert exact >= 10 and bounded >= 5
+
+
+def _end_cutoff_calls():
+    """(params, periods, strike) with tau = 0 or tau = N+1: the reference market at N = 2
+    (strikes 50 and 200), then the kernel markets with a strike below the all-down price
+    and one above the all-up price."""
+    yield REFERENCE, 2, 50.0
+    yield REFERENCE, 2, 200.0
+    for params, periods in _kernel_markets(92):
+        prices = pricing_module.terminal_prices(params, periods)
+        yield params, periods, prices[0] / 2.0
+        yield params, periods, prices[-1] * 1.5
+
+
+def test_end_cutoffs_build_no_walk(monkeypatch):
+    def priced():
+        """repr of mb_price at every end cutoff and of be_price at tau = N+1: every field, bit for bit."""
+        for params, periods, strike in _end_cutoff_calls():
+            spec = CallSpec(strike)
+            tau = crr_cutoff_tau(params, spec, periods)
+            assert tau in (0, periods + 1), (params, periods, strike)
+            yield repr(mb_price(params, spec, periods))
+            if tau:
+                yield repr(be_price(params, spec, periods))
+
+    walked = list(priced())
+
+    def walk(*args, **kwargs):
+        raise AssertionError("the lattice was walked")
+
+    monkeypatch.setattr(pricing_module, "_lattice_terms", walk)
+    assert list(priced()) == walked
+    for route in (mb_price, be_price):  # an interior cutoff still walks
+        with pytest.raises(AssertionError, match="the lattice was walked"):
+            route(REFERENCE, CALL, 2)
 
 
 @pytest.mark.parametrize("periods", [1_000, 10_000])
