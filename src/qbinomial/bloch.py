@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
@@ -45,17 +44,53 @@ def __getattr__(name: str) -> np.ndarray:
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
-@dataclass(frozen=True)
-class BlochVector:
+# A record's __init__ checks its arguments, then sets each field once through _set.
+_set = object.__setattr__
+
+
+class _Record:
+    """Immutable value whose fields are its __slots__; equality, hash, repr and pickle go field by field."""
+
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def __eq__(self, other: object) -> bool:
+        return self._values() == other._values() if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name: str, *value: object) -> None:
+        raise AttributeError(f"cannot assign to or delete field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self) -> tuple:
+        return type(self), self._values()
+
+
+def _as_dict(record: _Record) -> dict:
+    """The record's fields by name in slot order; a field that is a record becomes a dict too."""
+    return {name: _as_dict(v) if isinstance(v, _Record) else v for name, v in zip(record.__slots__, record._values())}
+
+
+class BlochVector(_Record):
     """Real 3-vector of Pauli coefficients."""
 
-    x: float
-    y: float
-    z: float
+    __slots__ = ("x", "y", "z")
 
-    def __post_init__(self) -> None:
-        if not all(math.isfinite(c) for c in (self.x, self.y, self.z)):
+    def __init__(self, x: float, y: float, z: float) -> None:
+        if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(z)):
             raise ValueError("Bloch components must be finite")
+        _set(self, "x", x)
+        _set(self, "y", y)
+        _set(self, "z", z)
 
     def norm(self) -> float:
         return math.hypot(self.x, self.y, self.z)
@@ -78,8 +113,7 @@ class BlochVector:
         return self.x * sigma_x + self.y * sigma_y + self.z * sigma_z
 
 
-@dataclass(frozen=True)
-class DensityState:
+class DensityState(_Record):
     """Unit-trace two-level state, canonically a Bloch vector.
 
     Positivity requires the Bloch norm to stay <= 1; the eigenvalues are
@@ -87,14 +121,15 @@ class DensityState:
     positive (a faithful state); norm 1 is a pure boundary state.
     """
 
-    bloch: BlochVector
+    __slots__ = ("bloch",)
 
-    def __post_init__(self) -> None:
-        n = self.bloch.norm()
+    def __init__(self, bloch: BlochVector) -> None:
+        n = bloch.norm()
         if n > 1.0 + TOL:
             raise ValueError(
                 f"Bloch norm {n:.12g} exceeds 1: not a state (negative eigenvalue)"
             )
+        _set(self, "bloch", bloch)
 
     def eigenvalues(self) -> tuple[float, float]:
         """Ascending pair ((1 - norm)/2, (1 + norm)/2)."""
@@ -106,8 +141,7 @@ class DensityState:
         return 0.5 * (_pauli_basis()[0] + self.bloch.pauli_matrix())
 
 
-@dataclass(frozen=True)
-class TwoLevelObservable:
+class TwoLevelObservable(_Record):
     """Hermitian 2x2 observable with spectrum exactly {low, high}.
 
     Stored as the two eigenvalues plus a Bloch direction whose norm is
@@ -116,19 +150,20 @@ class TwoLevelObservable:
     offset*I + direction.sigma with offset = (low + high)/2.
     """
 
-    low: float
-    high: float
-    direction: BlochVector
+    __slots__ = ("low", "high", "direction")
 
-    def __post_init__(self) -> None:
-        if not self.low < self.high:
+    def __init__(self, low: float, high: float, direction: BlochVector) -> None:
+        if not low < high:
             raise ValueError("low must be strictly below high")
-        target = 0.5 * (self.high - self.low)
-        if abs(self.direction.norm() - target) > TOL * max(1.0, target):
+        target = 0.5 * (high - low)
+        if abs(direction.norm() - target) > TOL * max(1.0, target):
             raise ValueError(
                 "direction norm must equal (high - low)/2; "
                 "use make_observable to scale a unit direction"
             )
+        _set(self, "low", low)
+        _set(self, "high", high)
+        _set(self, "direction", direction)
 
     @property
     def offset(self) -> float:

@@ -10,7 +10,6 @@ results go to stdout as a text table, CSV, or JSON.
 from __future__ import annotations
 
 import csv
-import dataclasses
 import functools
 import io
 import json
@@ -20,23 +19,27 @@ from typing import Any, Callable
 import click
 
 from . import pricing
+from .bloch import _as_dict, _Record, _set
 from .market import MarketParams, default_observable, risk_neutral_disk, sample_disk
 from .pricing import MODELS, CallSpec
 
 OUTPUT_FORMATS = ("table", "csv", "json")
 
 
-@dataclasses.dataclass(frozen=True)
-class RunConfig:
+class RunConfig(_Record):
     """Fully resolved inputs for one CLI invocation."""
 
-    market: MarketParams
-    strike: float
-    periods: int
-    model: str
-    seed: int
-    samples: int
-    output_format: str
+    __slots__ = ("market", "strike", "periods", "model", "seed", "samples", "output_format")
+
+    def __init__(self, market: MarketParams, strike: float, periods: int, model: str, seed: int, samples: int,
+                 output_format: str) -> None:
+        _set(self, "market", market)
+        _set(self, "strike", strike)
+        _set(self, "periods", periods)
+        _set(self, "model", model)
+        _set(self, "seed", seed)
+        _set(self, "samples", samples)
+        _set(self, "output_format", output_format)
 
 
 # (flag, setting, default, help) in --help order. A setting is keyed by its dotted
@@ -165,7 +168,7 @@ def command(body: Callable[[RunConfig], None]) -> click.Command:
             settings.update((key, value) for key, value in passed.items() if value is not None)
             config = config_from_dict(settings)
             if dump_config:
-                click.echo(json.dumps(dataclasses.asdict(config), indent=2))
+                click.echo(json.dumps(_as_dict(config), indent=2))
                 return
             if config.market.rate >= config.market.up:
                 raise ValueError("r >= b: arbitrage")
@@ -200,7 +203,7 @@ def price(config: RunConfig) -> None:
         result = pricing.mb_price(params, spec, config.periods)
     else:
         result = pricing.be_price(params, spec, config.periods)
-    fields = dataclasses.asdict(result)
+    fields = _as_dict(result)
     _emit(config.output_format, fields, list(fields), [list(fields.values())], list(fields.items()))
 
 
@@ -232,7 +235,7 @@ def verify(config: RunConfig) -> None:
         raise ValueError("N exceeds dense oracle cap")
     checks = oracle.run_identity_checks(config.market, config.strike, config.periods, config.seed)
     document = {
-        "checks": [{**dataclasses.asdict(c), "passed": c.passed} for c in checks],
+        "checks": [{**_as_dict(c), "passed": c.passed} for c in checks],
         "passed": all(c.passed for c in checks),
     }
     _emit(

@@ -11,13 +11,14 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 
 from .bloch import (
     TOL,
     BlochVector,
     DensityState,
     TwoLevelObservable,
+    _Record,
+    _set,
     is_faithful,
     make_observable,
 )
@@ -32,51 +33,50 @@ MEMBERSHIP_TOL = 1e-9
 _INTERIOR_MARGIN = 1.0 - 1e-12
 
 
-@dataclass(frozen=True)
-class MarketParams:
+class MarketParams(_Record):
     """One stock, one bond: B_n = B0 (1+r)^n, stock return in {down, up}.
 
     The ordering -1 <= down < up is structural; whether the market is
     arbitrage-free (down < rate < up) is a separate queryable predicate.
     """
 
-    bond_initial: float
-    stock_initial: float
-    rate: float
-    down: float
-    up: float
+    __slots__ = ("bond_initial", "stock_initial", "rate", "down", "up")
 
-    def __post_init__(self) -> None:
-        if not self.bond_initial > 0:
+    def __init__(self, bond_initial: float, stock_initial: float, rate: float, down: float, up: float) -> None:
+        if not bond_initial > 0:
             raise ValueError("bond_initial must be positive")
-        if not self.stock_initial > 0:
+        if not stock_initial > 0:
             raise ValueError("stock_initial must be positive")
-        if not self.rate > -1.0:
+        if not rate > -1.0:
             raise ValueError("rate must exceed -1")
-        if not self.down >= -1.0:
+        if not down >= -1.0:
             raise ValueError("down must be >= -1")
-        if not self.down < self.up:
+        if not down < up:
             raise ValueError("down must be strictly below up")
+        _set(self, "bond_initial", bond_initial)
+        _set(self, "stock_initial", stock_initial)
+        _set(self, "rate", rate)
+        _set(self, "down", down)
+        _set(self, "up", up)
 
 
-@dataclass(frozen=True)
-class ClassicalModel:
+class ClassicalModel(_Record):
     """Bernoulli stock model: up move with subjective probability p.
 
     The degenerate certainties p = 0 and p = 1 are representable so the
     subjective price can be evaluated at its limits.
     """
 
-    params: MarketParams
-    up_probability: float
+    __slots__ = ("params", "up_probability")
 
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.up_probability <= 1.0:
+    def __init__(self, params: MarketParams, up_probability: float) -> None:
+        if not 0.0 <= up_probability <= 1.0:
             raise ValueError("up_probability must lie in [0, 1]")
+        _set(self, "params", params)
+        _set(self, "up_probability", up_probability)
 
 
-@dataclass(frozen=True)
-class RiskNeutralDisk:
+class RiskNeutralDisk(_Record):
     """Plane section of the open unit Bloch ball holding all risk-neutral states.
 
     normal is the unit vector along the observable direction,
@@ -85,18 +85,18 @@ class RiskNeutralDisk:
     boundary is excluded (only faithful states are risk-neutral).
     """
 
-    normal: BlochVector
-    plane_offset: float
-    radius: float
+    __slots__ = ("normal", "plane_offset", "radius")
 
-    def __post_init__(self) -> None:
-        if abs(self.normal.norm() - 1.0) > TOL:
+    def __init__(self, normal: BlochVector, plane_offset: float, radius: float) -> None:
+        if abs(normal.norm() - 1.0) > TOL:
             raise ValueError("normal must be a unit vector")
-        if self.radius < 0.0:
+        if radius < 0.0:
             raise ValueError("radius must be nonnegative")
-        residual = self.plane_offset**2 + self.radius**2 - 1.0
-        if abs(residual) > 1e-12:
+        if abs(plane_offset**2 + radius**2 - 1.0) > 1e-12:
             raise ValueError("plane_offset^2 + radius^2 must equal 1")
+        _set(self, "normal", normal)
+        _set(self, "plane_offset", plane_offset)
+        _set(self, "radius", radius)
 
     def center(self) -> BlochVector:
         """Bloch vector of the disk center, plane_offset * normal."""

@@ -16,7 +16,6 @@ point, not speed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import reduce
 from typing import Sequence
 
@@ -28,6 +27,8 @@ from .bloch import (
     BlochVector,
     DensityState,
     TwoLevelObservable,
+    _Record,
+    _set,
     eigenbasis,
     is_faithful,
     make_observable,
@@ -240,13 +241,15 @@ def classical_path_enumeration(
     return _call_value(params, spec, [o.weight for o in enumerate_path_outcomes(params, periods)])
 
 
-@dataclass(frozen=True)
-class PathOutcome:
+class PathOutcome(_Record):
     """Terminal outcome aggregated over all paths with one up-move count."""
 
-    up_count: int
-    terminal_price: float
-    weight: float
+    __slots__ = ("up_count", "terminal_price", "weight")
+
+    def __init__(self, up_count: int, terminal_price: float, weight: float) -> None:
+        _set(self, "up_count", up_count)
+        _set(self, "terminal_price", terminal_price)
+        _set(self, "weight", weight)
 
 
 def enumerate_path_outcomes(params: MarketParams, periods: int) -> list[PathOutcome]:
@@ -270,13 +273,15 @@ def enumerate_path_outcomes(params: MarketParams, periods: int) -> list[PathOutc
     ]
 
 
-@dataclass(frozen=True)
-class IdentityCheck:
+class IdentityCheck(_Record):
     """One verified identity: its largest observed deviation vs tolerance."""
 
-    name: str
-    deviation: float
-    tolerance: float = 1e-10
+    __slots__ = ("name", "deviation", "tolerance")
+
+    def __init__(self, name: str, deviation: float, tolerance: float = 1e-10) -> None:
+        _set(self, "name", name)
+        _set(self, "deviation", deviation)
+        _set(self, "tolerance", tolerance)
 
     @property
     def passed(self) -> bool:

@@ -12,10 +12,9 @@ from __future__ import annotations
 import bisect
 import math
 import sys
-from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Callable, Literal
 
-from .bloch import DensityState, TwoLevelObservable, is_faithful
+from .bloch import DensityState, TwoLevelObservable, _Record, _set, is_faithful
 from .market import (
     ClassicalModel,
     MarketParams,
@@ -33,41 +32,44 @@ Model = Literal["classical", "quantum_single", "mb", "be"]
 MODELS: tuple[Model, ...] = ("classical", "quantum_single", "mb", "be")
 
 
-@dataclass(frozen=True)
-class TwoPointPayoff:
+class TwoPointPayoff(_Record):
     """Payoff paid at the down and up terminal prices of one period."""
 
-    at_down: float
-    at_up: float
+    __slots__ = ("at_down", "at_up")
 
-    def __post_init__(self) -> None:
-        for value in (self.at_down, self.at_up):
+    def __init__(self, at_down: float, at_up: float) -> None:
+        for value in (at_down, at_up):
             if not math.isfinite(value) or value < 0.0:
                 raise ValueError("payoffs must be finite and nonnegative")
+        _set(self, "at_down", at_down)
+        _set(self, "at_up", at_up)
 
 
-@dataclass(frozen=True)
-class CallSpec:
+class CallSpec(_Record):
     """European call with strike K; terminal payoff (S - K)^+."""
 
-    strike: float
+    __slots__ = ("strike",)
 
-    def __post_init__(self) -> None:
-        if not self.strike > 0.0:
+    def __init__(self, strike: float) -> None:
+        if not strike > 0.0:
             raise ValueError("strike must be positive")
+        _set(self, "strike", strike)
 
 
-@dataclass(frozen=True)
-class PricingResult:
+class PricingResult(_Record):
     """A price and its risk-neutral q; only mb_price sets q' = q (1+up)/(1+rate), clamped to 1, and tau."""
 
-    model: Model
-    periods: int
-    price: float
-    discounted_by: float
-    q: float
-    q_prime: float | None = None
-    cutoff_tau: int | None = None
+    __slots__ = ("model", "periods", "price", "discounted_by", "q", "q_prime", "cutoff_tau")
+
+    def __init__(self, model: Model, periods: int, price: float, discounted_by: float, q: float,
+                 q_prime: float | None = None, cutoff_tau: int | None = None) -> None:
+        _set(self, "model", model)
+        _set(self, "periods", periods)
+        _set(self, "price", price)
+        _set(self, "discounted_by", discounted_by)
+        _set(self, "q", q)
+        _set(self, "q_prime", q_prime)
+        _set(self, "cutoff_tau", cutoff_tau)
 
 
 def call_two_point(params: MarketParams, spec: CallSpec) -> TwoPointPayoff:
@@ -134,7 +136,7 @@ def quantum_single_price(params: MarketParams, payoff: TwoPointPayoff) -> Pricin
     if not is_faithful(center):
         raise ValueError("no faithful state in the risk-neutral disk")
     price = single_period_trace_price(params, payoff, center, obs)
-    return replace(single_period_price(params, payoff), price=price)
+    return PricingResult("quantum_single", 1, price, 1.0 / (1.0 + params.rate), classical_risk_neutral_q(params))
 
 
 def _lattice_terms(

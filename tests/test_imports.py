@@ -1,8 +1,8 @@
-"""Which entry points load numpy.
+"""Which entry points load numpy and dataclasses.
 
 Scalar pricing and disk sampling (the package import, the CLI import, and
-the price, sweep and disk commands, in every model) never load numpy; the
-dense paths of verify load it on first use and still work. Each check runs
+the price, sweep and disk commands, in every model) never load numpy or
+dataclasses; the dense paths of verify load numpy on first use and still work. Each check runs
 in a fresh interpreter, because this test process has numpy loaded already.
 """
 from __future__ import annotations
@@ -51,23 +51,38 @@ def _fresh_interpreter(script: str):
     return json.loads(done.stdout.splitlines()[-1])
 
 
-def test_scalar_entry_points_never_load_numpy():
+def _entry_points_that_load(module: str) -> list[str]:
+    """The scalar entry points, run in order, that add `module` to sys.modules.
+
+    Each step is charged only with what it adds, so a module that the
+    interpreter's start-up already loaded is charged to no step.
+    """
     script = f"""
 import json, sys
 loaded_by = []
-import qbinomial
-if "numpy" in sys.modules:
-    loaded_by.append("import qbinomial")
+def step(name, run):
+    before = {module!r} in sys.modules
+    run()
+    if not before and {module!r} in sys.modules:
+        loaded_by.append(name)
+step("import qbinomial", lambda: __import__("qbinomial"))
+step("import qbinomial.cli", lambda: __import__("qbinomial.cli"))
 import qbinomial.cli
-if "numpy" in sys.modules:
-    loaded_by.append("import qbinomial.cli")
 for argv in {NUMPY_FREE_COMMANDS!r}:
-    qbinomial.cli.main.main(args=argv, prog_name="qbinomial", standalone_mode=False)
-    if "numpy" in sys.modules:
-        loaded_by.append(" ".join(argv))
+    step(" ".join(argv), lambda: qbinomial.cli.main.main(args=argv, prog_name="qbinomial", standalone_mode=False))
 print(json.dumps(loaded_by))
 """
-    assert _fresh_interpreter(script) == []
+    return _fresh_interpreter(script)
+
+
+def test_scalar_entry_points_never_load_numpy():
+    assert _entry_points_that_load("numpy") == []
+
+
+def test_entry_points_never_load_dataclasses():
+    # The value types are slotted records; dataclasses' code generation (and
+    # the inspect, ast and dis modules it loads) would cost every CLI process.
+    assert _entry_points_that_load("dataclasses") == []
 
 
 @pytest.mark.parametrize(

@@ -1,7 +1,6 @@
 """Tests for the market definition and the risk-neutral disk."""
 from __future__ import annotations
 
-import dataclasses
 import decimal
 import math
 import sys
@@ -282,7 +281,7 @@ def _near_a_threshold(rng: np.random.Generator, gap: float) -> MarketParams:
     params = random_market(rng)
     offset = gap * (params.up - params.down)
     rate = params.down + offset if rng.uniform() < 0.5 else params.up - offset
-    return dataclasses.replace(params, rate=rate)
+    return MarketParams(params.bond_initial, params.stock_initial, rate, params.down, params.up)
 
 
 def test_sample_disk_stays_faithful_next_to_the_thresholds():
@@ -414,10 +413,10 @@ def test_membership_callers_raise_the_disk_errors(caller, inputs, message):
 
 
 def test_membership_builds_no_disk(monkeypatch):
-    def refuse(self):
+    def refuse(self, *args, **kwargs):
         raise AssertionError("a RiskNeutralDisk was built")
 
-    monkeypatch.setattr(market_module.RiskNeutralDisk, "__post_init__", refuse)
+    monkeypatch.setattr(market_module.RiskNeutralDisk, "__init__", refuse)
     obs = default_observable(REFERENCE)
     assert disk_contains(REFERENCE, _CENTER, obs)
     for route in _MEMBERSHIP_CALLERS.values():

@@ -7,7 +7,6 @@ compression for the Bose-Einstein one.
 """
 from __future__ import annotations
 
-import dataclasses
 import functools
 import math
 
@@ -429,8 +428,7 @@ def test_pricing_result_carries_q_and_the_clamped_q_prime():
             assert result.q == q
             assert result.q_prime == (min(1.0, unclamped) if result.model == "mb" else None)
     assert unclamped > 1.0 and mb_price(total_loss, CALL, 3).q_prime == 1.0
-    fields = [field.name for field in dataclasses.fields(PricingResult)]
-    assert fields == ["model", "periods", "price", "discounted_by", "q", "q_prime", "cutoff_tau"]
+    assert list(PricingResult.__slots__) == ["model", "periods", "price", "discounted_by", "q", "q_prime", "cutoff_tau"]
 
 
 def test_convergence_sweep():
