@@ -44,7 +44,7 @@ from .market import (
 from .pricing import CallSpec
 
 # Memory and loop guards for dense 2^N x 2^N builds and path enumeration;
-# `verify --periods 12` takes 46 s and 1.1 GB on 2 x86-64 cores (Python 3.11, numpy 2.4).
+# `verify --periods 12` takes 36-43 s and 1.1 GB on 2 x86-64 cores (Python 3.11, numpy 2.4).
 DENSE_CAP = 12
 PATH_CAP = 25
 

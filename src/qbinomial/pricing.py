@@ -125,18 +125,19 @@ def single_period_trace_price(
 
 
 def quantum_single_price(params: MarketParams, payoff: TwoPointPayoff) -> PricingResult:
-    """One-period price of the center of the risk-neutral disk, by its Born probability.
+    """One-period quantum price: single_period_price, once the risk-neutral disk holds a faithful state.
 
-    Uses the default (+z) return observable; any state of the disk would
-    give the same price. The center is the disk's most mixed state, so when
-    it is not faithful no state is, and ValueError is raised.
+    Every state of the disk has Born probability q of the up return (see
+    single_period_trace_price), so the price is the Bernoulli price at q,
+    bit for bit the classical one. The center, on the default (+z) return
+    observable, is the disk's most mixed state, so when it is not faithful
+    no state is, and ValueError is raised.
     """
     obs = default_observable(params)
     center = DensityState(risk_neutral_disk(params, obs).center())
     if not is_faithful(center):
         raise ValueError("no faithful state in the risk-neutral disk")
-    price = single_period_trace_price(params, payoff, center, obs)
-    return PricingResult("quantum_single", 1, price, 1.0 / (1.0 + params.rate), classical_risk_neutral_q(params))
+    return single_period_price(params, payoff)
 
 
 def _lattice_terms(
@@ -168,38 +169,25 @@ def _lattice_terms(
         raise ValueError("p must lie in [0, 1]")
     if p == 0.0 or p == 1.0:
         return (periods if p == 1.0 else 0), [1.0]
-    odds = p / (1.0 - p)
+    # the statistic sets only the top and the step ratio t_n / t_(n-1): (N+1-n)/n * odds for MB,
+    # which falls through 1 at the mode, and odds throughout for BE, so its top is an end
+    odds, after = p / (1.0 - p), periods + 1
+    top = min(periods, int(after * p)) if binomial else (periods if odds > 1.0 else 0)
     terms, term = [], 1.0
-    if binomial:  # t_n / t_(n-1) = (N+1-n)/n * odds, which falls through 1 at the mode
-        top, after = min(periods, int((periods + 1) * p)), periods + 1
-        for n in range(top, 0, -1):
-            term /= (after - n) / n * odds
-            if term <= floor:
-                break
-            terms.append(term)
-    else:  # the ratio is odds throughout, so the largest term sits at an end
-        top = periods if odds > 1.0 else 0
-        for _ in range(top):
-            term /= odds
-            if term <= floor:
-                break
-            terms.append(term)
+    for n in range(top, 0, -1):
+        term /= (after - n) / n * odds if binomial else odds
+        if term <= floor:
+            break
+        terms.append(term)
     lo = top - len(terms)
     terms.reverse()
     terms.append(1.0)
     term = 1.0
-    if binomial:
-        for n in range(top + 1, after):
-            term *= (after - n) / n * odds
-            if term <= floor:
-                break
-            terms.append(term)
-    else:
-        for _ in range(periods - top):
-            term *= odds
-            if term <= floor:
-                break
-            terms.append(term)
+    for n in range(top + 1, after):
+        term *= (after - n) / n * odds if binomial else odds
+        if term <= floor:
+            break
+        terms.append(term)
     return lo, terms
 
 

@@ -45,6 +45,14 @@ def random_market(rng: np.random.Generator) -> MarketParams:
     )
 
 
+def near_threshold_market(rng: np.random.Generator, gap: float) -> MarketParams:
+    """A random market with its rate `gap` spreads inside the down or the up threshold."""
+    params = random_market(rng)
+    offset = gap * (params.up - params.down)
+    rate = params.down + offset if rng.uniform() < 0.5 else params.up - offset
+    return MarketParams(params.bond_initial, params.stock_initial, rate, params.down, params.up)
+
+
 def random_strike(params: MarketParams, rng: np.random.Generator) -> float:
     return params.stock_initial * rng.uniform(0.4, 1.9)
 

@@ -181,3 +181,14 @@ def test_density_state_direct_construction_validates():
         DensityState(BlochVector(1.0, 1.0, 1.0))
     with pytest.raises(ValueError):
         BlochVector(float("nan"), 0.0, 0.0)
+
+
+def test_zero_vector_has_no_unit_direction():
+    with pytest.raises(ValueError, match="cannot normalize the zero vector"):
+        BlochVector(0.0, 0.0, 0.0).unit()
+
+
+@pytest.mark.parametrize("low, high", [(0.2, 0.2), (0.2, -0.1)])
+def test_observable_direct_construction_needs_low_below_high(low, high):
+    with pytest.raises(ValueError, match="low must be strictly below high"):
+        TwoLevelObservable(low, high, BlochVector(0.0, 0.0, 0.5 * abs(high - low)))

@@ -129,6 +129,20 @@ print(json.dumps({
         qbinomial.not_a_name  # noqa: B018
 
 
+def test_dir_lists_the_oracle_names_without_loading_the_oracle():
+    script = """
+import json, sys
+import qbinomial
+names = dir(qbinomial)
+print(json.dumps({
+    "missing": sorted(set(qbinomial.__all__) - set(names)),
+    "oracle_names": "mb_weight" in names and "run_identity_checks" in names,
+    "oracle_loaded": "qbinomial.oracle" in sys.modules,
+}))
+"""
+    assert _fresh_interpreter(script) == {"missing": [], "oracle_names": True, "oracle_loaded": False}
+
+
 def test_pauli_constants_resolve_on_first_use():
     assert np.array_equal(bloch.I2, np.eye(2))
     assert np.array_equal(bloch.SIGMA_X @ bloch.SIGMA_Y, 1j * bloch.SIGMA_Z)

@@ -11,7 +11,7 @@ import pytest
 
 import qbinomial.cli as cli_module
 import qbinomial.market as market_module
-from conftest import REFERENCE, random_market, random_unit
+from conftest import REFERENCE, near_threshold_market, random_market, random_unit
 from test_cli import WIDE_VERIFY_MARKETS
 from qbinomial.bloch import TOL
 from qbinomial import (
@@ -20,6 +20,7 @@ from qbinomial import (
     ClassicalModel,
     DensityState,
     MarketParams,
+    RiskNeutralDisk,
     bank_value,
     call_two_point,
     classical_risk_neutral_q,
@@ -270,25 +271,37 @@ def test_sample_frame_is_orthonormal_off_the_axes():
             assert abs(sum(x * y for x, y in zip(a, b)) - expected) < 1e-15
 
 
+@pytest.mark.parametrize(
+    "normal, offset, radius, message",
+    [
+        (BlochVector(0.0, 0.0, 2.0), 0.6, 0.8, "normal must be a unit vector"),
+        (BlochVector(0.0, 0.0, 1.0), 1.0, -0.0625, "radius must be nonnegative"),
+        (BlochVector(0.0, 0.0, 1.0), 0.6, 0.6, r"plane_offset\^2 \+ radius\^2 must equal 1"),
+    ],
+)
+def test_disk_direct_construction_validates(normal, offset, radius, message):
+    RiskNeutralDisk(BlochVector(0.0, 0.0, 1.0), 0.6, 0.8)  # the valid baseline the cases depart from
+    with pytest.raises(ValueError, match=message):
+        RiskNeutralDisk(normal, offset, radius)
+
+
+def test_sample_disk_rejects_a_negative_count():
+    disk = risk_neutral_disk(REFERENCE, default_observable(REFERENCE))
+    with pytest.raises(ValueError, match="count must be nonnegative"):
+        sample_disk(disk, -1, 0)
+
+
 def test_sample_disk_rejects_a_negative_seed():
     disk = risk_neutral_disk(REFERENCE, default_observable(REFERENCE))
     with pytest.raises(ValueError, match="non-negative"):
         sample_disk(disk, 2, -1)
 
 
-def _near_a_threshold(rng: np.random.Generator, gap: float) -> MarketParams:
-    """A random market with its rate `gap` spreads inside the down or the up threshold."""
-    params = random_market(rng)
-    offset = gap * (params.up - params.down)
-    rate = params.down + offset if rng.uniform() < 0.5 else params.up - offset
-    return MarketParams(params.bond_initial, params.stock_initial, rate, params.down, params.up)
-
-
 def test_sample_disk_stays_faithful_next_to_the_thresholds():
     rng = np.random.default_rng(38)
     sampled = 0
     for gap in np.geomspace(1e-10, 1e-7, 40):
-        params = _near_a_threshold(rng, gap)
+        params = near_threshold_market(rng, gap)
         obs = make_observable(params.down, params.up, random_unit(rng))
         disk = risk_neutral_disk(params, obs)
         if abs(disk.plane_offset) >= 1.0 - TOL:
@@ -452,7 +465,7 @@ def test_disk_geometry_is_within_four_epsilon_of_exact():
     # Exact: offset (2r - a - b)/(b - a) and radius 2·sqrt((r - a)(b - r))/(b - a) of the floats given.
     eps = sys.float_info.epsilon
     rng = np.random.default_rng(39)
-    markets = [_near_a_threshold(rng, gap) for gap in np.geomspace(1e-15, 0.5, 200)]
+    markets = [near_threshold_market(rng, gap) for gap in np.geomspace(1e-15, 0.5, 200)]
     markets += [_decimal_narrow_market(rng) for _ in range(200)]
     markets += [_wide_verify_market(argv) for argv in WIDE_VERIFY_MARKETS]
     for params in markets:

@@ -274,6 +274,13 @@ def test_mb_weight_rejects_up_count_outside_range(n):
         mb_weight([Z_CENTER] * 2, [Z] * 2, n)
 
 
+@pytest.mark.parametrize("periods", [0, -1])
+def test_dense_cap_needs_a_period(monkeypatch, periods):
+    monkeypatch.setattr(oracle_module, "_kron_chain", _no_dense_build)
+    with pytest.raises(ValueError, match="periods must be >= 1"):
+        symmetric_isometry(default_observable(REFERENCE), periods)
+
+
 def test_symmetric_isometry_columns_are_orthonormal():
     rng = np.random.default_rng(66)
     for periods in range(1, 7):

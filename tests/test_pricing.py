@@ -9,13 +9,14 @@ from __future__ import annotations
 
 import functools
 import math
+from fractions import Fraction
 
 import mpmath
 import numpy as np
 import pytest
 
 import qbinomial.pricing as pricing_module
-from conftest import REFERENCE, random_market, random_strike, random_unit
+from conftest import REFERENCE, near_threshold_market, random_market, random_strike, random_unit
 from qbinomial import (
     BlochVector,
     CallSpec,
@@ -171,6 +172,40 @@ def test_risk_neutral_price_is_the_bernoulli_price_at_q():
         q = classical_risk_neutral_q(params)
         at_q = classical_expected_price(ClassicalModel(params, q), payoff)
         assert at_q == single_period_price(params, payoff).price
+
+
+def _witness_markets(count: int, seed: int):
+    """Desk markets: a third with the rate anywhere 1% of the spread inside the thresholds, two
+    thirds 1e-6 to 1e-2 spreads inside the down or the up threshold."""
+    rng = np.random.default_rng(seed)
+    for i in range(count):
+        gap = 10.0 ** rng.uniform(-6.0, -2.0)
+        params = near_threshold_market(rng, gap) if i % 3 else random_market(rng)
+        yield params, call_two_point(params, CallSpec(random_strike(params, rng)))
+
+
+def test_quantum_single_price_is_the_classical_price_within_its_rounding_bound():
+    """Both one-period routes give the same float, within gamma_9 (q U + D)/(1+r) of the exact price.
+
+    With unit roundoff u = 2^-53 and gamma_k = k u/(1 - k u) (Higham, 2002, ch. 3), the exact price
+    of the float inputs is P = (q U + (1-q) D)/(1+r), q = (r-a)/(b-a). The float q takes three
+    roundings, q(1 + theta) with |theta| <= gamma_3; 1 - q, the two products, their sum, 1 + r,
+    its reciprocal and the final product take one each. So the q U part carries gamma_8 relative,
+    the (1-q) D part gamma_6, and 1 - q's absolute error q |theta| adds at most
+    gamma_3 (1 + gamma_6) q D / (1+r) <= gamma_9 q D / (1+r). U, D >= 0, so the sum is at most
+    gamma_9 (q U + D)/(1+r). The bound does not grow as q nears 0 or 1, which a Born probability
+    0.5 (1 + <bloch, n>), exact only to about 2^-53 absolute, cannot meet for small q."""
+    u = Fraction(1, 2**53)
+    gamma_9 = 9 * u / (1 - 9 * u)
+    for params, payoff in _witness_markets(3000, 43):
+        classical = single_period_price(params, payoff, model="classical").price
+        quantum = pricing_module.quantum_single_price(params, payoff).price
+        assert quantum == classical, params
+        down, up, rate = map(Fraction, (params.down, params.up, params.rate))
+        q = (rate - down) / (up - down)
+        at_up, at_down = Fraction(payoff.at_up), Fraction(payoff.at_down)
+        exact = (q * at_up + (1 - q) * at_down) / (1 + rate)
+        assert abs(Fraction(classical) - exact) <= gamma_9 * (q * at_up + at_down) / (1 + rate), params
 
 
 def test_classical_expected_price():
