@@ -215,8 +215,8 @@ def _normalized_sum(
     return sum([x * payoff(s0 * grow**n * shrink ** (top - n)) for n, w in nodes if (x := w / mass)])
 
 
-def _price_ladder(params: MarketParams, periods: int) -> tuple[float, float, float]:
-    """(S0, 1+up, 1+down), or OverflowError naming N if the all-up price S0 (1+up)^N
+def _price_ladder(params: MarketParams, periods: int) -> tuple[float, float, float, int]:
+    """(S0, 1+up, 1+down, N), or OverflowError naming N if the all-up price S0 (1+up)^N
     is not finite; the ladder increases in n, so no other price can leave the range."""
     s0, grow, shrink = params.stock_initial, 1.0 + params.up, 1.0 + params.down
     try:
@@ -225,13 +225,13 @@ def _price_ladder(params: MarketParams, periods: int) -> tuple[float, float, flo
         top = math.inf
     if top == math.inf:
         raise OverflowError(f"terminal prices exceed the float range at N={periods}")
-    return s0, grow, shrink
+    return s0, grow, shrink, periods
 
 
 def terminal_prices(params: MarketParams, periods: int) -> list[float]:
     """Terminal stock prices S0 (1+up)^n (1+down)^(N-n) for n = 0..N (_price_ladder's errors)."""
-    s0, grow, shrink = _price_ladder(params, periods)
-    return [s0 * grow**n * shrink ** (periods - n) for n in range(periods + 1)]
+    s0, grow, shrink, top = _price_ladder(params, periods)
+    return [s0 * grow**n * shrink ** (top - n) for n in range(top + 1)]
 
 
 def discount_factor(rate: float, periods: int) -> float:
@@ -267,6 +267,13 @@ def _binomial_tail(m: int, n: int, p: float, floor: float = 0.0) -> float:
     return sum([w / mass for w in terms[max(0, m - lo) :]], 0.0)
 
 
+def _cutoff(ladder: tuple[float, float, float, int], strike: float) -> int:
+    """Smallest n whose ladder price strictly exceeds the strike, N+1 if none does; the price is
+    terminal_prices' expression, so tau matches its n-th price bit for bit."""
+    s0, grow, shrink, top = ladder
+    return bisect.bisect_right(range(top + 1), strike, key=lambda n: s0 * grow**n * shrink ** (top - n))
+
+
 def crr_cutoff_tau(params: MarketParams, spec: CallSpec, periods: int) -> int:
     """Smallest up-move count whose terminal price strictly exceeds the strike.
 
@@ -275,23 +282,24 @@ def crr_cutoff_tau(params: MarketParams, spec: CallSpec, periods: int) -> int:
     """
     if periods < 1:
         raise ValueError("periods must be >= 1")
-    s0, grow, shrink = _price_ladder(params, periods)
-    # terminal_prices' expression, so tau matches its n-th price bit for bit
-    return bisect.bisect_right(
-        range(periods + 1), spec.strike, key=lambda n: s0 * grow**n * shrink ** (periods - n)
-    )
+    return _cutoff(_price_ladder(params, periods), spec.strike)
+
+
+def _setup(params: MarketParams, periods: int) -> tuple[float, tuple[float, float, float, int], float]:
+    """(q, _price_ladder, (1+r)^-N) of an N-period route, checked in one order: periods >= 1,
+    arbitrage, terminal prices, discount; so every error comes before any walk."""
+    if periods < 1:
+        raise ValueError("periods must be >= 1")
+    q = classical_risk_neutral_q(params)
+    return q, _price_ladder(params, periods), discount_factor(params.rate, periods)
 
 
 def _lattice_expectation(
     params: MarketParams, payoff: Callable[[float], float], periods: int, binomial: bool
 ) -> float:
     """Discounted expectation of a terminal payoff under MB or BE weights."""
-    if periods < 1:
-        raise ValueError("periods must be >= 1")
-    q = classical_risk_neutral_q(params)
-    ladder = (*_price_ladder(params, periods), periods)
-    total = _normalized_sum(_lattice_terms(periods, q, binomial), 0, payoff, ladder)
-    return total * discount_factor(params.rate, periods)
+    q, ladder, discount = _setup(params, periods)
+    return _normalized_sum(_lattice_terms(periods, q, binomial), 0, payoff, ladder) * discount
 
 
 def mb_payoff_price(params: MarketParams, payoff: Callable[[float], float], periods: int) -> float:
@@ -322,13 +330,10 @@ def mb_price(params: MarketParams, spec: CallSpec, periods: int) -> PricingResul
     than that may price as 0.0. When every term lies above the floor, the
     price is bit for bit the complementary_binomial form.
     """
-    if periods < 1:
-        raise ValueError("periods must be >= 1")
-    q = classical_risk_neutral_q(params)
+    q, ladder, discount = _setup(params, periods)
     # q' = 1 - (b-r)(1+a)/((b-a)(1+r)) <= 1, exactly 1 at a = -1, where the product can round above 1
     q_prime = min(1.0, q * (1.0 + params.up) / (1.0 + params.rate))
-    tau = crr_cutoff_tau(params, spec, periods)
-    discount = discount_factor(params.rate, periods)
+    tau = _cutoff(ladder, spec.strike)
     floor = 2.0**-64 / (periods + 1)
     closed = (
         params.stock_initial * _binomial_tail(tau, periods, q_prime, floor)
@@ -355,14 +360,10 @@ def be_price(params: MarketParams, spec: CallSpec, periods: int) -> PricingResul
     """N-period Bose-Einstein call price (identical-particle statistics): the geometric
     weights times S_n - K over the paying nodes n >= tau only, so bit for bit
     be_payoff_price of the clipped call payoff."""
-    if periods < 1:
-        raise ValueError("periods must be >= 1")
-    q = classical_risk_neutral_q(params)
-    tau = crr_cutoff_tau(params, spec, periods)
-    discount = discount_factor(params.rate, periods)
+    q, ladder, discount = _setup(params, periods)
+    tau = _cutoff(ladder, spec.strike)
     if tau > periods:  # no node pays, so the walk would sum nothing
         return PricingResult("be", periods, 0.0, discount, q)
-    ladder = (*_price_ladder(params, periods), periods)
     paid = _normalized_sum(_lattice_terms(periods, q, False), tau, lambda s: s - spec.strike, ladder)
     return PricingResult("be", periods, paid * discount, discount, q)
 
@@ -373,8 +374,8 @@ def convergence_sweep(
     """Prices for N = 1..max_periods with the per-period (down, up, rate) held fixed.
 
     No rescaling with N is performed, so this sweeps the fixed-parameter
-    family rather than approaching a continuous-time limit. If some N leaves
-    the float range, OverflowError names the first one before any pricing.
+    family rather than approaching a continuous-time limit. Before any pricing, the routes'
+    _setup raises on arbitrage, or else OverflowError naming the first N out of the float range.
     """
     if max_periods < 1:
         raise ValueError("max_periods must be >= 1")
@@ -384,8 +385,7 @@ def convergence_sweep(
 
     def range_error(n: int) -> OverflowError | None:
         try:
-            _price_ladder(params, n)
-            discount_factor(params.rate, n)
+            _setup(params, n)
         except OverflowError as exc:
             return exc
         return None

@@ -589,9 +589,29 @@ def test_terminal_price_overflow_raises_named_regime(route):
         (MarketParams(1.0, 1.0, 1.0, 0.5, 1.0001), 1023),
     ],
 )
-def test_discount_factor_outside_float_range_raises_named_regime(route, params, periods):
+def test_discount_factor_outside_float_range_raises_named_regime(monkeypatch, route, params, periods):
+    def walk(*args, **kwargs):
+        raise AssertionError("the lattice was walked before the discount was checked")
+
+    monkeypatch.setattr(pricing_module, "_lattice_terms", walk)
     with pytest.raises(OverflowError, match=f"discount factor .* at N={periods}$"):
         _route_value(route, params, periods)
+
+
+@pytest.mark.parametrize("route", ROUTES)
+def test_each_route_builds_its_price_ladder_once(monkeypatch, route):
+    calls = []
+    ladder = pricing_module._price_ladder
+
+    def counted(*args):
+        calls.append(args)
+        return ladder(*args)
+
+    monkeypatch.setattr(pricing_module, "_price_ladder", counted)
+    for periods in (1, 2, 40):  # the reference call's cutoff is interior at N = 2
+        calls.clear()
+        _route_value(route, REFERENCE, periods)
+        assert len(calls) == 1, (periods, calls)
 
 
 def test_sweep_names_first_overflow_before_pricing_any_period(monkeypatch):
@@ -678,6 +698,9 @@ def test_arbitrage_is_reported_before_terminal_price_overflow():
     for route in ROUTES:
         with pytest.raises(ValueError, match="arbitrage"):
             _route_value(route, _arbitrage_market(), 5000)
+    for model in ("mb", "be"):  # the sweep checks each N as the routes do
+        with pytest.raises(ValueError, match="arbitrage"):
+            convergence_sweep(_arbitrage_market(), CALL, 5000, model)
 
 
 @pytest.mark.parametrize("route", ROUTES)
