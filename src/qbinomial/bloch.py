@@ -202,13 +202,9 @@ def make_observable(low: float, high: float, unit_direction: BlochVector) -> Two
         Direction of the Bloch axis; must have norm 1 within TOL. It is
         rescaled to norm (high - low)/2 so the spectrum is exact.
     """
-    if not low < high:
-        raise ValueError("low must be strictly below high")
     n = unit_direction.norm()
-    if n == 0.0:
-        raise ValueError("direction must be nonzero")
     if abs(n - 1.0) > TOL:
-        raise ValueError(f"direction norm {n:.12g} is not 1 within tolerance")
+        raise ValueError(f"direction {unit_direction} is not unit norm (norm {n:.12g})")
     direction = unit_direction.scaled(0.5 * (high - low) / n)
     return TwoLevelObservable(low, high, direction)
 

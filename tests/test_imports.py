@@ -1,4 +1,4 @@
-"""Which entry points load numpy and dataclasses.
+"""Which entry points load numpy and dataclasses, and which names each module imports.
 
 Scalar pricing and disk sampling (the package import, the CLI import, and
 the price, sweep and disk commands, in every model) never load numpy or
@@ -7,6 +7,7 @@ in a fresh interpreter, because this test process has numpy loaded already.
 """
 from __future__ import annotations
 
+import ast
 import json
 import os
 import subprocess
@@ -149,3 +150,19 @@ def test_pauli_constants_resolve_on_first_use():
     assert bloch.SIGMA_Z.dtype == complex
     with pytest.raises(AttributeError):
         bloch.SIGMA_W  # noqa: B018
+
+
+@pytest.mark.parametrize(
+    "path", sorted(p for p in (SRC / "qbinomial").glob("*.py") if p.name != "__init__.py"), ids=lambda p: p.name
+)
+def test_every_imported_name_is_used(path):
+    # __init__.py re-exports its imports through __all__, so it is not checked.
+    tree = ast.parse(path.read_text())
+    imported = {
+        (alias.asname or alias.name).partition(".")[0]
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__"
+        for alias in node.names
+    }
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    assert sorted(imported - used) == []

@@ -141,6 +141,20 @@ def test_mb_weight_matches_binomial_law():
                 assert abs(mb_weight(states, directions, n) - law) < 1e-10
 
 
+def test_mb_weight_multiplies_only_its_projector_columns(monkeypatch):
+    # Each weight costs the C(N, n) columns with n ups, so a loop over n is one full pass.
+    columns = []
+
+    def recorded(rho, basis, original=oracle_module._populations):
+        columns.append(basis.shape[1])
+        return original(rho, basis)
+
+    monkeypatch.setattr(oracle_module, "_populations", recorded)
+    for n in range(6):
+        mb_weight([Z_CENTER] * 5, [Z] * 5, n)
+    assert columns == [math.comb(5, n) for n in range(6)]
+
+
 def test_oracle_price_mb_reference_two_periods():
     rng = np.random.default_rng(55)
     directions = [random_unit(rng) for _ in range(2)]
@@ -251,10 +265,11 @@ def _no_dense_build(factors):
 def test_direction_inputs_are_validated(monkeypatch, name):
     call = DIRECTION_CALLS[name]
     call([Z_CENTER] * 2, [Z] * 2)  # the valid baseline the cases below depart from
-    with pytest.raises(ValueError, match="not unit norm"):
-        call([Z_CENTER], [BlochVector(0.0, 0.0, 0.5)])
 
     monkeypatch.setattr(oracle_module, "_kron_chain", _no_dense_build)
+    for direction in (BlochVector(0.0, 0.0, 0.5), BlochVector(0.0, 0.0, 0.0)):
+        with pytest.raises(ValueError, match="not unit norm"):
+            call([Z_CENTER], [direction])
     with pytest.raises(ValueError, match="exceeds dense oracle cap"):
         call([Z_CENTER] * (DENSE_CAP + 1), [Z] * (DENSE_CAP + 1))
 
