@@ -11,6 +11,8 @@ import functools
 import math
 from typing import TYPE_CHECKING
 
+from .market import _Record, _set
+
 if TYPE_CHECKING:
     import numpy as np
 
@@ -42,42 +44,6 @@ def __getattr__(name: str) -> np.ndarray:
     if name in _PAULI_NAMES:
         return _pauli_basis()[_PAULI_NAMES.index(name)]
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-# A record's __init__ checks its arguments, then sets each field once through _set.
-_set = object.__setattr__
-
-
-class _Record:
-    """Immutable value whose fields are its __slots__; equality, hash, repr and pickle go field by field."""
-
-    __slots__ = ()
-
-    def _values(self) -> tuple:
-        return tuple([getattr(self, name) for name in self.__slots__])
-
-    def __eq__(self, other: object) -> bool:
-        return self._values() == other._values() if other.__class__ is self.__class__ else NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self._values())
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
-        return f"{type(self).__qualname__}({fields})"
-
-    def __setattr__(self, name: str, *value: object) -> None:
-        raise AttributeError(f"cannot assign to or delete field {name!r}")
-
-    __delattr__ = __setattr__
-
-    def __reduce__(self) -> tuple:
-        return type(self), self._values()
-
-
-def _as_dict(record: _Record) -> dict:
-    """The record's fields by name in slot order; a field that is a record becomes a dict too."""
-    return {name: _as_dict(v) if isinstance(v, _Record) else v for name, v in zip(record.__slots__, record._values())}
 
 
 class BlochVector(_Record):

@@ -19,8 +19,8 @@ from typing import Any, Callable
 import click
 
 from . import pricing
-from .bloch import _as_dict, _Record, _set
-from .market import MarketParams, default_observable, risk_neutral_disk, sample_disk
+from .disk import default_observable, risk_neutral_disk, sample_disk
+from .market import MarketParams, _as_dict, _Record, _set
 from .pricing import MODELS, CallSpec
 
 OUTPUT_FORMATS = ("table", "csv", "json")

@@ -26,20 +26,12 @@ from .bloch import (
     BlochVector,
     DensityState,
     TwoLevelObservable,
-    _Record,
-    _set,
     eigenbasis,
     is_faithful,
     make_observable,
 )
-from .market import (
-    MarketParams,
-    classical_risk_neutral_q,
-    default_observable,
-    disk_contains,
-    risk_neutral_disk,
-    sample_disk,
-)
+from .disk import default_observable, disk_contains, risk_neutral_disk, sample_disk
+from .market import MarketParams, _Record, _set, classical_risk_neutral_q
 from .pricing import CallSpec
 
 # Memory and loop guards for dense 2^N x 2^N builds and path enumeration;

@@ -14,18 +14,12 @@ import math
 import sys
 from typing import TYPE_CHECKING, Callable, Literal
 
-from .bloch import DensityState, TwoLevelObservable, _Record, _set, is_faithful
-from .market import (
-    ClassicalModel,
-    MarketParams,
-    classical_risk_neutral_q,
-    default_observable,
-    disk_contains,
-    risk_neutral_disk,
-)
+from .market import ClassicalModel, MarketParams, _Record, _set, classical_risk_neutral_q
 
 if TYPE_CHECKING:
     import numpy as np
+
+    from .bloch import DensityState, TwoLevelObservable
 
 Model = Literal["classical", "quantum_single", "mb", "be"]
 
@@ -118,6 +112,8 @@ def single_period_trace_price(
     which is where that probability equals q; for a state on the disk's
     plane the result equals single_period_price up to rounding.
     """
+    from .disk import disk_contains
+
     if not disk_contains(params, state, obs):
         raise ValueError("state is not in the risk-neutral disk")
     born = 0.5 * (1.0 + state.bloch.dot(obs.unit_direction()))
@@ -133,6 +129,9 @@ def quantum_single_price(params: MarketParams, payoff: TwoPointPayoff) -> Pricin
     observable, is the disk's most mixed state, so when it is not faithful
     no state is, and ValueError is raised.
     """
+    from .bloch import DensityState, is_faithful
+    from .disk import default_observable, risk_neutral_disk
+
     obs = default_observable(params)
     center = DensityState(risk_neutral_disk(params, obs).center())
     if not is_faithful(center):

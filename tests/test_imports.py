@@ -1,15 +1,18 @@
-"""Which entry points load numpy and dataclasses, and which names each module imports.
+"""Which entry points load numpy, dataclasses and the quantum layer, and which names each module imports.
 
 Scalar pricing and disk sampling (the package import, the CLI import, and
 the price, sweep and disk commands, in every model) never load numpy or
-dataclasses; the dense paths of verify load numpy on first use and still work. Each check runs
-in a fresh interpreter, because this test process has numpy loaded already.
+dataclasses; the dense paths of verify load numpy on first use and still work.
+Lattice pricing never loads the quantum layer (bloch and disk); the quantum
+entry points load it on first use. Each check runs in a fresh interpreter,
+because this test process has numpy and the whole package loaded already.
 """
 from __future__ import annotations
 
 import ast
 import json
 import os
+import pickle
 import subprocess
 import sys
 from pathlib import Path
@@ -52,28 +55,35 @@ def _fresh_interpreter(script: str):
     return json.loads(done.stdout.splitlines()[-1])
 
 
-def _entry_points_that_load(module: str) -> list[str]:
-    """The scalar entry points, run in order, that add `module` to sys.modules.
+def _loaded_by_steps(steps: list[str], modules: list[str]) -> dict[str, list[str]]:
+    """Run the statements `steps` in order in one fresh interpreter; map each to the `modules` it loads.
 
-    Each step is charged only with what it adds, so a module that the
-    interpreter's start-up already loaded is charged to no step.
+    Each step is charged only with what it adds to sys.modules, so a module
+    that the interpreter's start-up already loaded is charged to no step.
     """
     script = f"""
 import json, sys
-loaded_by = []
-def step(name, run):
-    before = {module!r} in sys.modules
-    run()
-    if not before and {module!r} in sys.modules:
-        loaded_by.append(name)
-step("import qbinomial", lambda: __import__("qbinomial"))
-step("import qbinomial.cli", lambda: __import__("qbinomial.cli"))
-import qbinomial.cli
-for argv in {NUMPY_FREE_COMMANDS!r}:
-    step(" ".join(argv), lambda: qbinomial.cli.main.main(args=argv, prog_name="qbinomial", standalone_mode=False))
+loaded_by = {{}}
+for step in {steps!r}:
+    before = set(sys.modules)
+    exec(step)
+    loaded_by[step] = sorted(set({modules!r}) & set(sys.modules) - before)
 print(json.dumps(loaded_by))
 """
     return _fresh_interpreter(script)
+
+
+CLI_STEPS = [
+    "import qbinomial",
+    "import qbinomial.cli",
+    *(f"qbinomial.cli.main.main(args={argv!r}, prog_name='qbinomial', standalone_mode=False)"
+      for argv in NUMPY_FREE_COMMANDS),
+]
+
+
+def _entry_points_that_load(module: str) -> list[str]:
+    """The scalar entry points, run in order, that add `module` to sys.modules."""
+    return [step for step, loaded in _loaded_by_steps(CLI_STEPS, [module]).items() if loaded]
 
 
 def test_scalar_entry_points_never_load_numpy():
@@ -84,6 +94,97 @@ def test_entry_points_never_load_dataclasses():
     # The value types are slotted records; dataclasses' code generation (and
     # the inspect, ast and dis modules it loads) would cost every CLI process.
     assert _entry_points_that_load("dataclasses") == []
+
+
+SUBMODULES = sorted(f"qbinomial.{p.stem}" for p in (SRC / "qbinomial").glob("*.py") if p.stem != "__init__")
+QUANTUM_LAYER = ["qbinomial.bloch", "qbinomial.disk"]
+
+LATTICE_STEPS = [
+    "import qbinomial",
+    "from qbinomial import market, pricing",
+    "p, spec = market.MarketParams(1.0, 100.0, 0.05, -0.1, 0.2), pricing.CallSpec(100.0)",
+    "call = lambda s: max(s - 100.0, 0.0)",
+    "pricing.mb_price(p, spec, 8)",
+    "pricing.be_price(p, spec, 8)",
+    "pricing.mb_payoff_price(p, call, 8)",
+    "pricing.be_payoff_price(p, call, 8)",
+    "pricing.convergence_sweep(p, spec, 8, 'mb')",
+    "pricing.single_period_price(p, pricing.call_two_point(p, spec))",
+]
+
+
+def test_lattice_pricing_loads_only_market_and_pricing():
+    loaded_by = _loaded_by_steps(LATTICE_STEPS, SUBMODULES)
+    assert loaded_by.pop("import qbinomial") == ["qbinomial.market", "qbinomial.pricing"]
+    assert loaded_by == dict.fromkeys(LATTICE_STEPS[1:], [])
+
+
+@pytest.mark.parametrize(
+    "steps, loaded",
+    [
+        (["pricing.quantum_single_price(p, pricing.call_two_point(p, spec))"], QUANTUM_LAYER),
+        (["qbinomial.sample_disk"], QUANTUM_LAYER),
+        (["qbinomial.market.risk_neutral_disk"], QUANTUM_LAYER),
+        # building the state and the observable loads bloch, so the price itself loads only the disk
+        (
+            [
+                "from qbinomial.bloch import BlochVector, DensityState, make_observable",
+                "state = DensityState(BlochVector(0.0, 0.0, 0.0))",
+                "obs = make_observable(-0.1, 0.2, BlochVector(0.0, 0.0, 1.0))",
+                "pricing.single_period_trace_price(p, pricing.call_two_point(p, spec), state, obs)",
+            ],
+            ["qbinomial.disk"],
+        ),
+    ],
+    ids=["quantum_single_price", "sample_disk", "market.risk_neutral_disk", "single_period_trace_price"],
+)
+def test_quantum_entry_points_load_the_quantum_layer_on_first_use(steps, loaded):
+    assert _loaded_by_steps(LATTICE_STEPS + steps, SUBMODULES)[steps[-1]] == loaded
+
+
+# What market defined or imported before its disk half moved to qbinomial.disk.
+FORWARDED = [
+    "BlochVector", "DensityState", "MEMBERSHIP_TOL", "RiskNeutralDisk", "TOL", "TwoLevelObservable",
+    "check_observable", "default_observable", "disk_contains", "is_faithful", "make_observable",
+    "risk_neutral_disk", "sample_disk",
+]
+
+
+def test_market_forwards_only_its_listed_names_to_disk():
+    script = f"""
+import json, sys
+import qbinomial.market as market
+probes = [getattr(market, "__module__", None), hasattr(market, "__path__")]
+try:
+    market.not_a_name
+except AttributeError as error:
+    unknown = str(error)
+probes_loaded_disk = "qbinomial.disk" in sys.modules
+import qbinomial.disk as disk
+print(json.dumps({{
+    "probes": probes,
+    "probes_loaded_disk": probes_loaded_disk,
+    "unknown": unknown,
+    "not_forwarded": [n for n in {FORWARDED!r} if getattr(market, n) is not getattr(disk, n)],
+}}))
+"""
+    assert _fresh_interpreter(script) == {
+        "probes": [None, False],
+        "probes_loaded_disk": False,
+        "unknown": "module 'qbinomial.market' has no attribute 'not_a_name'",
+        "not_forwarded": [],
+    }
+
+
+def test_a_disk_pickled_before_the_split_loads_through_the_forward():
+    # pickle.dumps(RiskNeutralDisk(BlochVector(0.0, 0.0, 1.0), 0.6, 0.8)) when the class lived in qbinomial.market
+    blob = (
+        b"\x80\x04\x95\x7f\x00\x00\x00\x00\x00\x00\x00\x8c\x10qbinomial.market\x94\x8c\x0fRiskNeutralDisk"
+        b"\x94\x93\x94\x8c\x0fqbinomial.bloch\x94\x8c\x0bBlochVector\x94\x93\x94G\x00\x00\x00\x00\x00\x00"
+        b"\x00\x00G\x00\x00\x00\x00\x00\x00\x00\x00G?\xf0\x00\x00\x00\x00\x00\x00\x87\x94R\x94G?\xe33333"
+        b"33G?\xe9\x99\x99\x99\x99\x99\x9a\x87\x94R\x94."
+    )
+    assert pickle.loads(blob) == qbinomial.RiskNeutralDisk(qbinomial.BlochVector(0.0, 0.0, 1.0), 0.6, 0.8)
 
 
 @pytest.mark.parametrize(

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import qbinomial.cli as cli_module
+import qbinomial.disk as disk_module
 import qbinomial.market as market_module
 from conftest import REFERENCE, near_threshold_market, random_market, random_unit
 from test_cli import WIDE_VERIFY_MARKETS
@@ -226,7 +227,7 @@ def test_sample_stream_matches_numpy_default_rng():
     rng = np.random.default_rng(35)
     seeds = STREAM_SEEDS + [int(rng.integers(2**63)) >> int(rng.integers(64)) for _ in range(200)]
     for seed in seeds:
-        ours, numpy_rng = market_module._Pcg64(seed), np.random.default_rng(seed)
+        ours, numpy_rng = disk_module._Pcg64(seed), np.random.default_rng(seed)
         for _ in range(10):
             assert ours.uniform() == numpy_rng.uniform()
             assert ours.uniform(0.0, 2.0 * math.pi) == numpy_rng.uniform(0.0, 2.0 * math.pi)
@@ -244,7 +245,7 @@ def _numpy_sample_disk(disk, count, seed):
     rng = np.random.default_rng(seed)
     points = []
     for _ in range(count):
-        radial = disk.radius * math.sqrt(rng.uniform()) * market_module._INTERIOR_MARGIN
+        radial = disk.radius * math.sqrt(rng.uniform()) * disk_module._INTERIOR_MARGIN
         angle = rng.uniform(0.0, 2.0 * math.pi)
         points.append(center + radial * (math.cos(angle) * e1 + math.sin(angle) * e2))
     return points
@@ -266,7 +267,7 @@ def test_sample_frame_is_orthonormal_off_the_axes():
     for _ in range(200):
         normal = random_unit(rng)
         n = (normal.x, normal.y, normal.z)
-        e1, e2 = market_module._in_plane_frame(normal)
+        e1, e2 = disk_module._in_plane_frame(normal)
         for a, b, expected in [(e1, e1, 1), (e2, e2, 1), (e1, e2, 0), (e1, n, 0), (e2, n, 0)]:
             assert abs(sum(x * y for x, y in zip(a, b)) - expected) < 1e-15
 
