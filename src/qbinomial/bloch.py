@@ -71,7 +71,7 @@ class BlochVector(_Record):
         n = self.norm()
         if n == 0.0:
             raise ValueError("cannot normalize the zero vector")
-        return self.scaled(1.0 / n)
+        return BlochVector(self.x / n, self.y / n, self.z / n)
 
     def pauli_matrix(self) -> np.ndarray:
         """x*sigma_x + y*sigma_y + z*sigma_z as a dense 2x2."""

@@ -66,16 +66,23 @@ def check_observable(params: MarketParams, obs: TwoLevelObservable) -> None:
         raise ValueError("observable values must match the market's (down, up)")
 
 
-def _plane(params: MarketParams, obs: TwoLevelObservable) -> tuple[BlochVector, float, float]:
-    """(normal, offset, radius) of the disk; ValueError for a foreign observable or an empty disk."""
-    check_observable(params, obs)
+def _plane(params: MarketParams) -> tuple[float, float]:
+    """(offset, radius) of the disk on any observable with the market's values; ValueError for an empty disk."""
     if not is_arbitrage_free(params):
         # exact threshold comparison on the raw parameters: the derived
         # plane offset can round a hair below 1 right at rate == up
         raise ValueError("empty risk-neutral disk: market admits arbitrage")
     q = classical_risk_neutral_q(params)
     q_bar = (params.up - params.rate) / (params.up - params.down)
-    return obs.unit_direction(), q - q_bar, 2.0 * math.sqrt(q * q_bar)
+    return q - q_bar, 2.0 * math.sqrt(q * q_bar)
+
+
+def _faithful_part(plane_offset: float) -> float:
+    """Squared radius of the faithful part (Bloch norm below 1 - TOL) of a disk at this offset; ValueError if none."""
+    faithful = (1.0 - TOL) ** 2 - plane_offset**2
+    if faithful <= 0.0:
+        raise ValueError("no faithful state in the risk-neutral disk")
+    return faithful
 
 
 def risk_neutral_disk(params: MarketParams, obs: TwoLevelObservable) -> RiskNeutralDisk:
@@ -87,8 +94,9 @@ def risk_neutral_disk(params: MarketParams, obs: TwoLevelObservable) -> RiskNeut
     q = (rate-down)/(up-down) and q̄ = (up-rate)/(up-down). Raises when the
     disk is empty, which happens exactly when the market admits arbitrage.
     """
-    normal, t, radius = _plane(params, obs)
-    return RiskNeutralDisk(normal=normal, plane_offset=t, radius=radius)
+    check_observable(params, obs)
+    t, radius = _plane(params)
+    return RiskNeutralDisk(normal=obs.unit_direction(), plane_offset=t, radius=radius)
 
 
 def disk_contains(params: MarketParams, state: DensityState, obs: TwoLevelObservable) -> bool:
@@ -97,8 +105,9 @@ def disk_contains(params: MarketParams, state: DensityState, obs: TwoLevelObserv
     On that plane a state prices the stock at the riskless rate; no disk is built.
     Raises what risk_neutral_disk raises (foreign observable, arbitrage market).
     """
-    normal, t, _ = _plane(params, obs)
-    return is_faithful(state) and abs(state.bloch.dot(normal) - t) < MEMBERSHIP_TOL
+    check_observable(params, obs)
+    t, _ = _plane(params)
+    return is_faithful(state) and abs(state.bloch.dot(obs.unit_direction()) - t) < MEMBERSHIP_TOL
 
 
 _MASK32, _MASK64, _MASK128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1
@@ -169,9 +178,7 @@ def sample_disk(disk: RiskNeutralDisk, count: int, seed: int) -> list[DensitySta
         raise ValueError("count must be nonnegative")
     if count == 0:
         return []
-    faithful = (1.0 - TOL) ** 2 - disk.plane_offset**2  # squared radius of the faithful part
-    if faithful <= 0.0:
-        raise ValueError("no faithful state in the risk-neutral disk")
+    faithful = _faithful_part(disk.plane_offset)
     rng = _Pcg64(seed)
     e1, e2 = _in_plane_frame(disk.normal)
     center = disk.center()

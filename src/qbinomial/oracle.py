@@ -51,10 +51,10 @@ def _kron_chain(factors: Sequence[np.ndarray]) -> np.ndarray:
     return reduce(np.kron, factors)
 
 
-def _unit_directions(
+def _capped_directions(
     directions: Sequence[BlochVector], states: Sequence[DensityState] | None = None
 ) -> list[BlochVector]:
-    """The directions, one per state (if given) and within the cap; make_observable checks the norm."""
+    """The directions as a list, once there is one per state (if given) and at most DENSE_CAP of them."""
     if states is not None and len(states) != len(directions):
         raise ValueError("need one direction per state")
     _check_dense_cap(len(directions))
@@ -95,7 +95,7 @@ def build_stock_operator(
     with binomial multiplicities, sits on the product eigenbasis, which
     oracle_price_mb checks against this operator by a dense residual.
     """
-    dirs = _unit_directions(directions)
+    dirs = _capped_directions(directions)
     factors = [make_observable(1.0 + params.down, 1.0 + params.up, d).matrix() for d in dirs]
     return params.stock_initial * _kron_chain(factors)
 
@@ -119,7 +119,7 @@ def mb_weight(states: Sequence[DensityState], directions: Sequence[BlochVector],
     rho's populations on the columns with n up-moves. For risk-neutral
     factors this equals C(N,n) q^n (1-q)^(N-n).
     """
-    dirs = _unit_directions(directions, states)
+    dirs = _capped_directions(directions, states)
     if not 0 <= n <= len(dirs):
         raise ValueError("n must lie in [0, N]")
     basis, ups = _product_basis([eigenbasis(make_observable(-1.0, 1.0, d)) for d in dirs])
@@ -133,7 +133,7 @@ def _mb_pass(
     spec: CallSpec,
 ) -> tuple[np.ndarray, float]:
     """The N+1 weights tr(rho P_n) and oracle_price_mb's price, from one dense pass."""
-    dirs = _unit_directions(directions, states)
+    dirs = _capped_directions(directions, states)
     observables = [make_observable(params.down, params.up, d) for d in dirs]
     for k, (state, obs) in enumerate(zip(states, observables)):
         if not disk_contains(params, state, obs):

@@ -125,17 +125,14 @@ def quantum_single_price(params: MarketParams, payoff: TwoPointPayoff) -> Pricin
 
     Every state of the disk has Born probability q of the up return (see
     single_period_trace_price), so the price is the Bernoulli price at q,
-    bit for bit the classical one. The center, on the default (+z) return
-    observable, is the disk's most mixed state, so when it is not faithful
-    no state is, and ValueError is raised.
+    bit for bit the classical one. Whether the disk holds a faithful state
+    depends only on its plane offset, whatever the observable's direction;
+    the disk module's one faithful-part rule, which sample_disk also applies,
+    decides it and raises ValueError when no state is faithful.
     """
-    from .bloch import DensityState, is_faithful
-    from .disk import default_observable, risk_neutral_disk
+    from .disk import _faithful_part, _plane
 
-    obs = default_observable(params)
-    center = DensityState(risk_neutral_disk(params, obs).center())
-    if not is_faithful(center):
-        raise ValueError("no faithful state in the risk-neutral disk")
+    _faithful_part(_plane(params)[0])
     return single_period_price(params, payoff)
 
 
@@ -373,8 +370,9 @@ def convergence_sweep(
     """Prices for N = 1..max_periods with the per-period (down, up, rate) held fixed.
 
     No rescaling with N is performed, so this sweeps the fixed-parameter
-    family rather than approaching a continuous-time limit. Before any pricing, the routes'
-    _setup raises on arbitrage, or else OverflowError naming the first N out of the float range.
+    family rather than approaching a continuous-time limit. Before any pricing, one pass runs
+    the routes' _setup at every N in turn, so the sweep raises on arbitrage, or else raises the
+    OverflowError of the first N whose price ladder or discount leaves the float range.
     """
     if max_periods < 1:
         raise ValueError("max_periods must be >= 1")
@@ -382,14 +380,6 @@ def convergence_sweep(
     if pricer is None:
         raise ValueError(f"model '{model}': sweep requires mb or be")
 
-    def range_error(n: int) -> OverflowError | None:
-        try:
-            _setup(params, n)
-        except OverflowError as exc:
-            return exc
-        return None
-
-    if range_error(max_periods):  # each test fails for every N from some N on
-        first = 1 + bisect.bisect_left(range(1, max_periods + 1), True, key=lambda n: bool(range_error(n)))
-        raise range_error(first)
+    for n in range(1, max_periods + 1):
+        _setup(params, n)
     return [(n, pricer(params, spec, n).price) for n in range(1, max_periods + 1)]

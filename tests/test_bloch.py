@@ -188,6 +188,16 @@ def test_zero_vector_has_no_unit_direction():
         BlochVector(0.0, 0.0, 0.0).unit()
 
 
+def test_unit_divides_each_component_by_the_norm():
+    # 0.6187833130321199 * (1 / 0.6187833130321199) rounds to 0.9999999999999999; the quotient is 1.0
+    assert BlochVector(0.0, 0.0, 0.6187833130321199).unit() == BlochVector(0.0, 0.0, 1.0)
+    rng = np.random.default_rng(7)
+    for _ in range(300):
+        low = rng.uniform(-1.0, 1.0)
+        obs = make_observable(low, low + rng.uniform(1e-6, 3.0), BlochVector(0.0, 0.0, 1.0))
+        assert obs.unit_direction() == BlochVector(0.0, 0.0, 1.0)
+
+
 @pytest.mark.parametrize("low, high", [(0.2, 0.2), (0.2, -0.1)])
 def test_observable_direct_construction_needs_low_below_high(low, high):
     with pytest.raises(ValueError, match="low must be strictly below high"):

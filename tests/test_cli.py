@@ -175,6 +175,15 @@ def test_disk_samples_json():
         assert norm < 1.0
 
 
+def test_disk_json_normal_is_exactly_plus_z():
+    # half this spread times its reciprocal rounds to 0.9999999999999999; its quotient is 1.0
+    result = _invoke(
+        ["disk", "--a", "0.3704054693015627", "--b", "1.6079720953658025", "--r", "0.9", "--format", "json"]
+    )
+    assert result.exit_code == 0
+    assert json.loads(result.stdout)["normal"] == {"x": 0.0, "y": 0.0, "z": 1.0}
+
+
 def test_disk_empty_exit_code():
     result = _invoke(["disk", "--a", "-0.1", "--b", "0.2", "--r", "0.2"])
     assert result.exit_code == 2
@@ -189,11 +198,24 @@ def test_verify_next_to_the_down_threshold(seed):
     assert "FAIL" not in result.stdout
 
 
+# Markets whose disk has no faithful state: a rate one ulp above the down return, and a rate
+# about 6e-10 above it, whose plane offset is exactly -(1 - TOL), the rim of the faithful part.
+NO_FAITHFUL_STATE_MARKETS = [
+    ["--r", "-0.09999999999999999"],
+    ["--a", "0.3704054693015627", "--b", "1.6079720953658025", "--r", "0.37040546992034606"],
+]
+
+
 @pytest.mark.parametrize(
-    "command", [["disk", "--samples", "2"], ["verify"], ["price", "--model", "quantum_single"]]
+    "command",
+    [
+        [*command, *market]
+        for market in NO_FAITHFUL_STATE_MARKETS
+        for command in (["disk", "--samples", "2"], ["verify"], ["price", "--model", "quantum_single"])
+    ],
 )
 def test_disk_without_faithful_states_is_invalid_input(command):
-    result = _invoke([*command, "--r", "-0.09999999999999999"])
+    result = _invoke(command)
     assert result.exit_code == 2
     assert result.stderr.splitlines() == ["no faithful state in the risk-neutral disk"]
     assert result.stdout == ""
@@ -412,6 +434,24 @@ def test_discount_overflow_is_invalid_input(model):
     assert result.exit_code == 2
     assert result.stderr.splitlines() == [
         "discount factor (1+r)^-N leaves the float range at N=200"
+    ]
+    assert result.stdout == ""
+
+
+@pytest.mark.parametrize(
+    "market,periods,first_out",
+    [
+        # (1 + r)^-N = 100^N leaves the float range at N=155, long before the price ladder does
+        (["--r", "-0.99", "--a", "-0.999", "--b", "0.5"], 400, 155),
+        # the ladder shrinks (1 + up = 0.9), so only the discount 0.7^-N can leave the range
+        (["--a", "-0.5", "--b", "-0.1", "--r", "-0.3"], 2500, 1990),
+    ],
+)
+def test_sweep_names_the_first_discount_out_of_range(market, periods, first_out):
+    result = _invoke(["sweep", "--model", "mb", *market, "--periods", str(periods)])
+    assert result.exit_code == 2
+    assert result.stderr.splitlines() == [
+        f"discount factor (1+r)^-N leaves the float range at N={first_out}"
     ]
     assert result.stdout == ""
 

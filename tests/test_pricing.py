@@ -110,7 +110,7 @@ def test_trace_form_agrees_with_closed_form():
 
 
 def test_trace_form_exact_when_direction_rounds_off_the_pole():
-    # unit() turns this market's z-axis direction into z = 0.9999999999999999.
+    # Half this spread times its reciprocal is 0.9999999999999999, so a unit() scaling by 1/norm leaves the pole.
     params = MarketParams(1.0, 89.8071, 0.0088, -0.0672, 0.1379)
     payoff = call_two_point(params, CallSpec(71.5322))
     reference = single_period_price(params, payoff).price
