@@ -561,3 +561,23 @@ def test_verify_with_returns_near_the_float_limit_passes_without_warnings():
     )
     assert done.returncode == 0, done.stderr
     assert done.stderr == ""
+
+
+@pytest.mark.parametrize(
+    "argv, program",
+    [
+        (["-m", "qbinomial"], "python -m qbinomial"),
+        # the console script's sys.argv[0]: usage names its basename
+        (["-c", "import sys; from qbinomial.cli import main; sys.argv[0] = '/usr/local/bin/qbinomial'; main()"],
+         "qbinomial"),
+    ],
+    ids=["python-m", "console-script"],
+)
+def test_usage_names_the_program_as_it_was_started(argv, program):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run(
+        [sys.executable, *argv, "price", "--periods", "x"], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 2
+    assert done.stderr.splitlines()[0] == f"Usage: {program} price [OPTIONS]"

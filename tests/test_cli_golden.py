@@ -34,7 +34,7 @@ def run_case(case: dict, tmp_path: Path) -> dict:
         args += ["--config", str(path)]
     result = CliRunner().invoke(main, args)
     out = {"exit_code": result.exit_code, "stdout": result.stdout, "stderr": result.stderr}
-    if args[0] == "verify":
+    if args[:1] == ["verify"]:
         out["stdout"] = _mask_deviations(out["stdout"])
     return out
 
