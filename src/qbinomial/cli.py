@@ -2,10 +2,17 @@
 
 Configuration precedence is command-line flags over config-file values
 over built-in defaults. Exit codes: 0 success, 1 verification failure,
-2 invalid input: a setting or config file that the CLI refuses (a config
-that is not UTF-8 among them), or a ValueError or OverflowError that the
-library raises for the resolved settings. Diagnostics go to stderr;
-results go to stdout as a text table, CSV, or JSON.
+2 invalid input: a command line, setting or config file that the CLI
+refuses (a config that is not UTF-8 among them), or a ValueError or
+OverflowError that the library raises for the resolved settings.
+Diagnostics go to stderr; results go to stdout as a text table, CSV, or JSON.
+
+The command line keeps click's rules and messages: `--opt value` or
+`--opt=value`, the last repeat wins, values convert by float(), int() or an
+exact choice, and --help is answered before any value is converted. Help
+pages have a fixed 80-column layout: terms take a 30-column field, and a
+longer term puts its help on the next line at column 34. They are not
+rewrapped on narrower terminals.
 """
 from __future__ import annotations
 
@@ -13,10 +20,10 @@ import csv
 import functools
 import io
 import json
+import os
 import sys
+import types
 from typing import Any, Callable
-
-import click
 
 from . import pricing
 from .disk import default_observable, risk_neutral_disk, sample_disk
@@ -61,6 +68,17 @@ _SETTINGS = (
 )
 _DEFAULTS: dict[str, Any] = {key: default for _, key, default, _ in _SETTINGS}
 _CHOICES = {"model": MODELS, "output_format": OUTPUT_FORMATS}
+
+# flag: (parameter, kind, help) of every subcommand option, in --help order. A kind is
+# float, int, a tuple of choices, "FILE" (an existing file) or None (a flag).
+_OPTIONS: dict[str, tuple[str, Any, str]] = {
+    **{flag: (key.rpartition(".")[2], _CHOICES.get(key, type(default)), text)
+       for flag, key, default, text in _SETTINGS},
+    "--config": ("config_path", "FILE", "JSON config file"),
+    "--dump-config": ("dump_config", None, "Print the resolved config as JSON and exit"),
+    "--help": ("help", None, "Show this message and exit."),
+}
+_TYPE_NAMES = {float: "float", int: "integer"}
 
 # (predicate, diagnostic) rows, checked in order; the first that fails is reported.
 # Numeric settings must be finite floats (not JSON booleans), and integer ones
@@ -136,24 +154,166 @@ def _emit(fmt: str, document: Any, header: list[str], rows: list[list[Any]],
     and `rows`; table otherwise aligns the non-None pairs, floats to six places.
     """
     if fmt == "json":
-        click.echo(json.dumps(document, indent=2))
+        print(json.dumps(document, indent=2))
     elif fmt == "csv" or table is None:
         buffer = io.StringIO()
         csv.writer(buffer).writerows([header, *([_cell(value) for value in row] for row in rows)])
-        click.echo(buffer.getvalue(), nl=False)
+        print(buffer.getvalue(), end="")
     else:
         pairs = [(key, _cell(value)) for key, value in table if value is not None]
         width = max(len(key) for key, _ in pairs)
         for key, value in pairs:
-            click.echo(f"{key:<{width}}  {value}")
+            print(f"{key:<{width}}  {value}")
 
 
-@click.group()
-def main() -> None:
-    """Quantum binomial market toolkit."""
+class _UsageError(Exception):
+    """A refused command line: exit 2, below the usage lines unless a second argument is true."""
 
 
-def command(body: Callable[[RunConfig], None]) -> click.Command:
+def _did_you_mean(name: str, known: Any) -> str:
+    """The hint after an unknown name: its close matches among `known`, or ""."""
+    from difflib import get_close_matches
+
+    matches = sorted(get_close_matches(name, known))
+    quoted = ", ".join(map(repr, matches))
+    if not matches:
+        return ""
+    return f" Did you mean {quoted}?" if len(matches) == 1 else f" (Did you mean one of: {quoted}?)"
+
+
+def _parse(args: list[str], options: dict[str, Any], interspersed: bool) -> tuple[dict[str, Any], list[str]]:
+    """Split `args` into {flag: raw value, or True for a flag} in first-use order, and the positionals.
+
+    "--" ends the options; so does the first positional unless `interspersed`.
+    """
+    values, positional, args = {}, [], list(args)
+    while args:
+        arg = args.pop(0)
+        flag, equals, value = arg.partition("=")
+        if arg == "--":
+            return values, positional + args
+        if arg[:1] != "-" or arg == "-":
+            if not interspersed:
+                return values, [arg, *args]
+            positional.append(arg)
+        elif flag not in options:
+            raise _UsageError(f"No such option {flag!r}.{_did_you_mean(flag, options)}" if arg[:2] == "--"
+                              else f"No such option {arg[:2]!r}.")
+        elif options[flag][1] is None and equals:
+            raise _UsageError(f"Option {flag!r} does not take a value.", True)
+        elif options[flag][1] is not None and not (equals or args):
+            raise _UsageError(f"Option {flag!r} requires an argument.", True)
+        else:
+            values[flag] = True if options[flag][1] is None else value if equals else args.pop(0)
+    return values, positional
+
+
+def _convert(flag: str, raw: Any) -> Any:
+    """Option `flag`'s raw value as its kind converts it, or a usage error naming the flag."""
+    kind = _OPTIONS[flag][1]
+    if kind in _TYPE_NAMES:
+        try:
+            return kind(raw)
+        except ValueError:
+            problem = f"{raw!r} is not a valid {_TYPE_NAMES[kind]}."
+    elif kind == "FILE":
+        problem = ("does not exist" if not os.path.exists(raw) else "is a directory" if os.path.isdir(raw)
+                   else "is not readable" if not os.access(raw, os.R_OK) else "")
+        problem = problem and f"File {raw!r} {problem}."
+    else:
+        problem = "" if kind is None or raw in kind else f"{raw!r} is not one of {', '.join(map(repr, kind))}."
+    if problem:
+        raise _UsageError(f"Invalid value for {flag!r}: {problem}")
+    return raw
+
+
+def _metavar(kind: Any) -> str:
+    return f"[{'|'.join(kind)}]" if isinstance(kind, tuple) else _TYPE_NAMES.get(kind, kind or "").upper()
+
+
+def _help_page(usage: str, doc: str, options: dict[str, Any], commands: list[tuple[str, str]]) -> str:
+    """A help page in click's 80-column layout: a term over 30 columns puts its help on the next line."""
+    terms = [(f"{flag} {_metavar(kind)}".rstrip(), text) for flag, (_, kind, text) in options.items()]
+    lines = [f"Usage: {usage}", "", f"  {doc}"]
+    for title, rows in [("Options", terms), ("Commands", commands)]:
+        if not rows:
+            continue
+        width = min(max(len(term) for term, _ in rows), 30) + 2
+        lines += ["", f"{title}:", *(f"  {term:<{width}}{text}" if len(term) <= width - 2
+                                     else f"  {term}\n{'':{width + 2}}{text}" for term, text in rows)]
+    return "\n".join(lines)
+
+
+def _program_name() -> str:
+    """`python -m <module>` under -m, else the basename of the script that was run."""
+    package, script = getattr(sys.modules["__main__"], "__package__", None), os.path.basename(sys.argv[0])
+    if not package:
+        return script
+    name = os.path.splitext(script)[0]
+    return "python -m " + (package if name == "__main__" else f"{package}.{name}").lstrip(".")
+
+
+class _Group:
+    """The program: its subcommands by name, behind click's call shape.
+
+    `main.main(args, prog_name, standalone_mode, **extra)` has the signature that
+    click.testing.CliRunner calls. `standalone_mode` and `extra` are ignored: a
+    refused command line always exits 2, and a command that runs returns.
+    """
+
+    name = "main"
+
+    def __init__(self, doc: str) -> None:
+        self.help, self.commands = doc, {}
+
+    def __call__(self) -> None:
+        self.main()
+
+    def main(self, args: list[str] | None = None, prog_name: str | None = None, standalone_mode: bool = True,
+             **extra: Any) -> None:
+        """Run one command line, by default `sys.argv[1:]`, as the program `prog_name`."""
+        try:
+            try:
+                self._run(sys.argv[1:] if args is None else list(args), prog_name or _program_name())
+            finally:
+                sys.stdout.flush()  # here rather than at exit, so that a closed pipe is caught below
+        except BrokenPipeError:  # the reader closed stdout early, as `| head -n 1` does: exit 1 quietly
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            sys.exit(1)
+
+    def _run(self, args: list[str], path: str) -> None:
+        usage, doc, options = "[OPTIONS] COMMAND [ARGS]...", self.help, {"--help": _OPTIONS["--help"]}
+        commands = sorted((name, command.help) for name, command in self.commands.items())
+        try:
+            if not args:
+                print(_help_page(f"{path} {usage}", doc, options, commands), file=sys.stderr)
+                sys.exit(2)
+            flags, rest = _parse(args, options, interspersed=False)
+            if "--help" not in flags:
+                if not rest or rest[0] not in self.commands:
+                    raise _UsageError(f"No such command {rest[0]!r}.{_did_you_mean(rest[0], self.commands)}"
+                                      if rest else "Missing command.")
+                name, *rest = rest
+                path, usage, options, commands = f"{path} {name}", "[OPTIONS]", _OPTIONS, []
+                doc = self.commands[name].help
+                flags, rest = _parse(rest, options, interspersed=True)
+            if "--help" in flags:
+                print(_help_page(f"{path} {usage}", doc, options, commands))
+                return
+            values = {_OPTIONS[flag][0]: _convert(flag, raw) for flag, raw in flags.items()}
+            if rest:
+                raise _UsageError(f"Got unexpected extra argument{'s' * (len(rest) > 1)} ({' '.join(rest)})")
+        except _UsageError as error:
+            lines = [] if error.args[1:] else [f"Usage: {path} {usage}", f"Try '{path} --help' for help.", ""]
+            print(*lines, f"Error: {error.args[0]}", sep="\n", file=sys.stderr)
+            sys.exit(2)
+        self.commands[name].callback(**values)
+
+
+main = _Group("Quantum binomial market toolkit.")
+
+
+def command(body: Callable[[RunConfig], None]) -> types.SimpleNamespace:
     """Register `body`, which computes and emits, as a subcommand taking the shared flags.
 
     The command resolves flags over config file over defaults, answers --dump-config,
@@ -161,14 +321,14 @@ def command(body: Callable[[RunConfig], None]) -> click.Command:
     """
 
     @functools.wraps(body)
-    def run(config_path: str | None, dump_config: bool, **flags: Any) -> None:
-        passed = {key: flags[key.rpartition(".")[2]] for key in _DEFAULTS}
+    def run(config_path: str | None = None, dump_config: bool = False, **flags: Any) -> None:
+        passed = {key: flags.get(key.rpartition(".")[2]) for key in _DEFAULTS}
         try:
             settings = {**_DEFAULTS, **(_read_config(config_path) if config_path else {})}
             settings.update((key, value) for key, value in passed.items() if value is not None)
             config = config_from_dict(settings)
             if dump_config:
-                click.echo(json.dumps(_as_dict(config), indent=2))
+                print(json.dumps(_as_dict(config), indent=2))
                 return
             if config.market.rate >= config.market.up:
                 raise ValueError("r >= b: arbitrage")
@@ -176,16 +336,11 @@ def command(body: Callable[[RunConfig], None]) -> click.Command:
                 raise ValueError("r <= a: arbitrage")
             body(config)
         except (ValueError, OverflowError) as exc:  # invalid input, from the checks above or the library
-            click.echo(str(exc), err=True)
+            print(exc, file=sys.stderr)
             sys.exit(2)
 
-    run = click.option("--dump-config", is_flag=True, help="Print the resolved config as JSON and exit")(run)
-    config_file = click.Path(exists=True, dir_okay=False)
-    run = click.option("--config", "config_path", type=config_file, help="JSON config file")(run)
-    for flag, key, default, text in reversed(_SETTINGS):
-        kind = click.Choice(_CHOICES[key]) if key in _CHOICES else type(default)
-        run = click.option(flag, key.rpartition(".")[2], type=kind, help=text)(run)
-    return main.command()(run)
+    main.commands[body.__name__] = types.SimpleNamespace(help=body.__doc__, callback=run)
+    return main.commands[body.__name__]
 
 
 @command
@@ -247,7 +402,7 @@ def verify(config: RunConfig) -> None:
     )
     failures = [c for c in checks if not c.passed]
     for c in failures:
-        click.echo(f"identity failed: {c.name} (deviation {c.deviation:.6e} >= {c.tolerance:.6e})", err=True)
+        print(f"identity failed: {c.name} (deviation {c.deviation:.6e} >= {c.tolerance:.6e})", file=sys.stderr)
     if failures:
         sys.exit(1)
 

@@ -581,3 +581,17 @@ def test_usage_names_the_program_as_it_was_started(argv, program):
     )
     assert done.returncode == 2
     assert done.stderr.splitlines()[0] == f"Usage: {program} price [OPTIONS]"
+
+
+@pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("args", [["price"], ["--help"], ["price", "--help"]], ids=" ".join)
+def test_a_closed_stdout_ends_the_command_with_exit_1_and_no_traceback(args, unbuffered):
+    # a reader such as `| head -n 1` may close the pipe before the command writes to it
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
+           "PYTHONUNBUFFERED": unbuffered}
+    with subprocess.Popen([sys.executable, "-m", "qbinomial", *args], env=env, stdout=subprocess.PIPE,
+                          stderr=subprocess.PIPE) as process:
+        process.stdout.close()
+        stderr = process.stderr.read()
+        assert (process.wait(timeout=120), stderr) == (1, b"")

@@ -96,6 +96,42 @@ def test_entry_points_never_load_dataclasses():
     assert _entry_points_that_load("dataclasses") == []
 
 
+def test_entry_points_never_load_click():
+    # click is a test dependency only: the CLI parses its own command line.
+    assert _entry_points_that_load("click") == []
+
+
+# A sitecustomize module, which site imports at start-up, that makes click unimportable.
+NO_CLICK = """
+import sys
+
+
+class NoClick:
+    def find_spec(self, name, path=None, target=None):
+        if name.partition(".")[0] == "click":
+            raise ModuleNotFoundError(f"No module named {name!r}", name=name)
+
+
+sys.meta_path.insert(0, NoClick())
+"""
+
+
+def test_python_m_qbinomial_runs_without_click(tmp_path):
+    (tmp_path / "sitecustomize.py").write_text(NO_CLICK)
+    path = [str(tmp_path), str(SRC), *filter(None, [os.environ.get("PYTHONPATH")])]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+
+    def run(*argv: str) -> tuple[int, str, str]:
+        done = subprocess.run([sys.executable, *argv], env=env, capture_output=True, text=True, timeout=120)
+        return done.returncode, done.stdout, done.stderr
+
+    golden = json.loads((Path(__file__).parent / "data" / "cli_golden.json").read_text())
+    help_page = golden["help-main"]["stdout"].replace("Usage: main", "Usage: python -m qbinomial")
+    assert run("-c", "import click")[0] == 1  # the finder blocks click
+    assert run("-m", "qbinomial", "price", "--periods", "2") == (0, golden["price-mb-n2-table"]["stdout"], "")
+    assert run("-m", "qbinomial", "--help") == (0, help_page, "")
+
+
 SUBMODULES = sorted(f"qbinomial.{p.stem}" for p in (SRC / "qbinomial").glob("*.py") if p.stem != "__init__")
 QUANTUM_LAYER = ["qbinomial.bloch", "qbinomial.disk"]
 
