@@ -17,7 +17,6 @@ rewrapped on narrower terminals.
 from __future__ import annotations
 
 import csv
-import functools
 import io
 import json
 import os
@@ -50,9 +49,8 @@ class RunConfig(_Record):
 
 
 # (flag, setting, default, help) in --help order. A setting is keyed by its dotted
-# config-file path and converted to its default's type; its flag's parameter name is
-# the setting's last part. The defaults are the reference parameters
-# S0 = K = 100, a = -0.1, b = 0.2, r = 0.05.
+# config-file path and converted to its default's type. The defaults are the
+# reference parameters S0 = K = 100, a = -0.1, b = 0.2, r = 0.05.
 _SETTINGS = (
     ("--s0", "market.stock_initial", 100.0, "Initial stock price"),
     ("--b0", "market.bond_initial", 1.0, "Initial bank account"),
@@ -69,12 +67,12 @@ _SETTINGS = (
 _DEFAULTS: dict[str, Any] = {key: default for _, key, default, _ in _SETTINGS}
 _CHOICES = {"model": MODELS, "output_format": OUTPUT_FORMATS}
 
-# flag: (parameter, kind, help) of every subcommand option, in --help order. A kind is
-# float, int, a tuple of choices, "FILE" (an existing file) or None (a flag).
+# flag: (key, kind, help) of every subcommand option, in --help order; a setting's key
+# is its _SETTINGS key. A kind is float, int, a tuple of choices, "FILE" (an existing
+# file) or None (a flag).
 _OPTIONS: dict[str, tuple[str, Any, str]] = {
-    **{flag: (key.rpartition(".")[2], _CHOICES.get(key, type(default)), text)
-       for flag, key, default, text in _SETTINGS},
-    "--config": ("config_path", "FILE", "JSON config file"),
+    **{flag: (key, _CHOICES.get(key, type(default)), text) for flag, key, default, text in _SETTINGS},
+    "--config": ("config", "FILE", "JSON config file"),
     "--dump-config": ("dump_config", None, "Print the resolved config as JSON and exit"),
     "--help": ("help", None, "Show this message and exit."),
 }
@@ -104,8 +102,10 @@ _CHECKS: list[tuple[Callable[[dict[str, Any]], bool], str]] = [
     (lambda s: s["periods"] >= 1, "periods < 1: invalid run"),
     (lambda s: s["samples"] >= 0, "samples < 0: invalid run"),
     (lambda s: s["seed"] >= 0, "seed < 0: invalid run"),
-    (lambda s: s["model"] in MODELS, "unknown model: {model}"),
-    (lambda s: s["output_format"] in OUTPUT_FORMATS, "unknown output format: {output_format}"),
+    *(
+        (lambda s, key=key, choices=choices: s[key] in choices, f"unknown {key.replace('_', ' ')}: {{{key}}}")
+        for key, choices in _CHOICES.items()
+    ),
 ]
 
 
@@ -254,14 +254,12 @@ def _program_name() -> str:
 
 
 class _Group:
-    """The program: its subcommands by name, behind click's call shape.
+    """The program: its subcommands by name, and the one path from a command line to a RunConfig.
 
-    `main.main(args, prog_name, standalone_mode, **extra)` has the signature that
-    click.testing.CliRunner calls. `standalone_mode` and `extra` are ignored: a
-    refused command line always exits 2, and a command that runs returns.
+    perfbench/ops.py runs a command line in process with
+    `main.main(args=argv, prog_name="qbinomial", standalone_mode=False)`. `standalone_mode`
+    is ignored: a refused command line always exits 2, and a command that runs returns.
     """
-
-    name = "main"
 
     def __init__(self, doc: str) -> None:
         self.help, self.commands = doc, {}
@@ -269,8 +267,7 @@ class _Group:
     def __call__(self) -> None:
         self.main()
 
-    def main(self, args: list[str] | None = None, prog_name: str | None = None, standalone_mode: bool = True,
-             **extra: Any) -> None:
+    def main(self, args: list[str] | None = None, prog_name: str | None = None, standalone_mode: bool = True) -> None:
         """Run one command line, by default `sys.argv[1:]`, as the program `prog_name`."""
         try:
             try:
@@ -303,43 +300,32 @@ class _Group:
             values = {_OPTIONS[flag][0]: _convert(flag, raw) for flag, raw in flags.items()}
             if rest:
                 raise _UsageError(f"Got unexpected extra argument{'s' * (len(rest) > 1)} ({' '.join(rest)})")
-        except _UsageError as error:
-            lines = [] if error.args[1:] else [f"Usage: {path} {usage}", f"Try '{path} --help' for help.", ""]
-            print(*lines, f"Error: {error.args[0]}", sep="\n", file=sys.stderr)
-            sys.exit(2)
-        self.commands[name].callback(**values)
-
-
-main = _Group("Quantum binomial market toolkit.")
-
-
-def command(body: Callable[[RunConfig], None]) -> types.SimpleNamespace:
-    """Register `body`, which computes and emits, as a subcommand taking the shared flags.
-
-    The command resolves flags over config file over defaults, answers --dump-config,
-    refuses an arbitrage market, and reports invalid input on one line with exit 2.
-    """
-
-    @functools.wraps(body)
-    def run(config_path: str | None = None, dump_config: bool = False, **flags: Any) -> None:
-        passed = {key: flags.get(key.rpartition(".")[2]) for key in _DEFAULTS}
-        try:
-            settings = {**_DEFAULTS, **(_read_config(config_path) if config_path else {})}
-            settings.update((key, value) for key, value in passed.items() if value is not None)
-            config = config_from_dict(settings)
-            if dump_config:
+            dump = values.pop("dump_config", False)
+            loaded = _read_config(values.pop("config")) if "config" in values else {}
+            config = config_from_dict({**_DEFAULTS, **loaded, **values})
+            if dump:
                 print(json.dumps(_as_dict(config), indent=2))
                 return
             if config.market.rate >= config.market.up:
                 raise ValueError("r >= b: arbitrage")
             if config.market.rate <= config.market.down:
                 raise ValueError("r <= a: arbitrage")
-            body(config)
+            self.commands[name].callback(config)
+        except _UsageError as error:
+            lines = [] if error.args[1:] else [f"Usage: {path} {usage}", f"Try '{path} --help' for help.", ""]
+            print(*lines, f"Error: {error.args[0]}", sep="\n", file=sys.stderr)
+            sys.exit(2)
         except (ValueError, OverflowError) as exc:  # invalid input, from the checks above or the library
             print(exc, file=sys.stderr)
             sys.exit(2)
 
-    main.commands[body.__name__] = types.SimpleNamespace(help=body.__doc__, callback=run)
+
+main = _Group("Quantum binomial market toolkit.")
+
+
+def command(body: Callable[[RunConfig], None]) -> types.SimpleNamespace:
+    """Register `body`, which computes and emits one RunConfig's result, as a subcommand taking the shared flags."""
+    main.commands[body.__name__] = types.SimpleNamespace(help=body.__doc__, callback=body)
     return main.commands[body.__name__]
 
 

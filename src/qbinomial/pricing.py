@@ -12,7 +12,7 @@ from __future__ import annotations
 import bisect
 import math
 import sys
-from typing import TYPE_CHECKING, Callable, Literal
+from typing import TYPE_CHECKING, Callable, Literal, get_args
 
 from .market import ClassicalModel, MarketParams, _Record, _set, classical_risk_neutral_q
 
@@ -23,7 +23,7 @@ if TYPE_CHECKING:
 
 Model = Literal["classical", "quantum_single", "mb", "be"]
 
-MODELS: tuple[Model, ...] = ("classical", "quantum_single", "mb", "be")
+MODELS: tuple[Model, ...] = get_args(Model)
 
 
 class TwoPointPayoff(_Record):

@@ -1,6 +1,10 @@
 """Shared fixtures and randomized-input helpers for the test suite."""
 from __future__ import annotations
 
+import contextlib
+import io
+import types
+
 import numpy as np
 import pytest
 
@@ -12,12 +16,33 @@ from qbinomial import (
     risk_neutral_disk,
     sample_disk,
 )
+from qbinomial.cli import main
 
 # Reference market used throughout: S0 = K = 100, a = -0.1, b = 0.2, r = 0.05.
 REFERENCE = MarketParams(
     bond_initial=1.0, stock_initial=100.0, rate=0.05, down=-0.1, up=0.2
 )
 REFERENCE_STRIKE = 100.0
+
+
+def invoke(args) -> types.SimpleNamespace:
+    """Run the command line `args` in this process, as the program "main".
+
+    The result holds exit_code, stdout, stderr, output (stdout then stderr) and
+    exception (what ended a run that did not exit 0). An unhandled exception
+    exits 1. Line endings read as "\n": csv ends its rows in "\r\n".
+    """
+    streams, exit_code, exception = (io.StringIO(), io.StringIO()), 0, None
+    with contextlib.redirect_stdout(streams[0]), contextlib.redirect_stderr(streams[1]):
+        try:
+            main.main(list(args), "main")
+        except SystemExit as exc:
+            exit_code, exception = exc.code or 0, exc if exc.code else None
+        except Exception as exc:
+            exit_code, exception = 1, exc
+    stdout, stderr = (stream.getvalue().replace("\r\n", "\n") for stream in streams)
+    return types.SimpleNamespace(exit_code=exit_code, stdout=stdout, stderr=stderr, output=stdout + stderr,
+                                 exception=exception)
 
 
 @pytest.fixture

@@ -16,12 +16,12 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from click.testing import CliRunner
 
 import qbinomial.oracle as oracle_module
 from conftest import (
     REFERENCE,
     REFERENCE_STRIKE,
+    invoke as _invoke,
     random_disk_state,
     random_market,
     random_strike,
@@ -48,16 +48,11 @@ from qbinomial import (
     single_period_price,
     single_period_trace_price,
 )
-from qbinomial.cli import main
 
 
 def _report(label: str, ok: bool, detail: str) -> None:
     print(f"{'PASS' if ok else 'FAIL'}  {label}  [{detail}]")
     assert ok, f"{label}: {detail}"
-
-
-def _invoke(args):
-    return CliRunner().invoke(main, args)
 
 
 REFERENCE_FLAGS = [

@@ -14,18 +14,13 @@ import sys
 from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
 
 import qbinomial.oracle as oracle_module
+from conftest import invoke as _invoke
 from qbinomial import MarketParams
-from qbinomial.cli import main
 from qbinomial.pricing import discount_factor, terminal_prices
 
 REFERENCE_FLAGS = ["--s0", "100", "--strike", "100", "--a", "-0.1", "--b", "0.2", "--r", "0.05"]
-
-
-def _invoke(args):
-    return CliRunner().invoke(main, args)
 
 
 def _parse_csv(text: str):
@@ -567,11 +562,12 @@ def test_verify_with_returns_near_the_float_limit_passes_without_warnings():
     "argv, program",
     [
         (["-m", "qbinomial"], "python -m qbinomial"),
+        (["-m", "qbinomial.cli"], "python -m qbinomial.cli"),
         # the console script's sys.argv[0]: usage names its basename
         (["-c", "import sys; from qbinomial.cli import main; sys.argv[0] = '/usr/local/bin/qbinomial'; main()"],
          "qbinomial"),
     ],
-    ids=["python-m", "console-script"],
+    ids=["python-m", "python-m-module", "console-script"],
 )
 def test_usage_names_the_program_as_it_was_started(argv, program):
     src = str(Path(__file__).resolve().parents[1] / "src")

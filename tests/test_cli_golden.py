@@ -1,21 +1,24 @@
-"""Byte-for-byte CLI output: every subcommand, format and one-line diagnostic.
+"""Recorded CLI output: every subcommand, format and one-line diagnostic.
 
 Each case in data/cli_golden.json gives the arguments of one command, an
 optional config-file body (passed with --config), and the exact stdout,
-stderr and exit code the command produced when the case was recorded.
-`verify` deviations are floating-point rounding noise, so for `verify`
-only the check names and the status column are compared.
+stderr and exit code the command produced when the case was recorded, with
+line endings read as "\n". `verify` deviations are floating-point rounding
+noise, so for `verify` only the check names and the status column are
+compared. The real line endings of a process are pinned separately: csv
+ends its rows in "\r\n", the other emitters in "\n".
 """
 from __future__ import annotations
 
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
-
-from qbinomial.cli import main
+from conftest import invoke
 
 GOLDEN = json.loads((Path(__file__).parent / "data" / "cli_golden.json").read_text())
 
@@ -32,7 +35,7 @@ def run_case(case: dict, tmp_path: Path) -> dict:
         path = tmp_path / "run.json"
         path.write_text(case["config"])
         args += ["--config", str(path)]
-    result = CliRunner().invoke(main, args)
+    result = invoke(args)
     out = {"exit_code": result.exit_code, "stdout": result.stdout, "stderr": result.stderr}
     if args[:1] == ["verify"]:
         out["stdout"] = _mask_deviations(out["stdout"])
@@ -44,3 +47,19 @@ def test_cli_output_matches_recording(name, tmp_path):
     case = GOLDEN[name]
     expected = {key: case[key] for key in ("exit_code", "stdout", "stderr")}
     assert run_case(case, tmp_path) == expected
+
+
+@pytest.mark.parametrize(
+    "name, lf_lines",
+    # sweep writes csv in either format; disk's table rows end in "\n" and its sample rows in "\r\n"
+    [("sweep-be-n3-csv", 0), ("sweep-be-n3-table", 0), ("disk-samples-table", 5)],
+)
+def test_a_process_ends_exactly_the_csv_rows_in_crlf(name, lf_lines):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    case = GOLDEN[name]
+    done = subprocess.run([sys.executable, "-m", "qbinomial", *case["argv"]], env=env, capture_output=True,
+                          timeout=120)
+    lines = case["stdout"].splitlines(keepends=True)
+    expected = "".join(lines[:lf_lines]) + "".join(lines[lf_lines:]).replace("\n", "\r\n")
+    assert (done.returncode, done.stdout.decode()) == (0, expected)
