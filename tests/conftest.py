@@ -30,7 +30,7 @@ def invoke(args) -> types.SimpleNamespace:
 
     The result holds exit_code, stdout, stderr, output (stdout then stderr) and
     exception (what ended a run that did not exit 0). An unhandled exception
-    exits 1. Line endings read as "\n": csv ends its rows in "\r\n".
+    exits 1. Line endings read as "\n": csv output ends its rows in "\r\n".
     """
     streams, exit_code, exception = (io.StringIO(), io.StringIO()), 0, None
     with contextlib.redirect_stdout(streams[0]), contextlib.redirect_stderr(streams[1]):

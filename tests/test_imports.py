@@ -4,8 +4,12 @@ Scalar pricing and disk sampling (the package import, the CLI import, and
 the price, sweep and disk commands, in every model) never load numpy or
 dataclasses; the dense paths of verify load numpy on first use and still work.
 Lattice pricing never loads the quantum layer (bloch and disk); the quantum
-entry points load it on first use. Each check runs in a fresh interpreter,
-because this test process has numpy and the whole package loaded already.
+entry points load it on first use. The same holds for the CLI: its import,
+`price` in the mb, be and classical models and `sweep` never load the quantum
+layer, and `disk`, `price --model quantum_single` and `verify` load it when
+they run; `qbinomial.cli` forwards its three disk names to `qbinomial.disk`.
+Each check runs in a fresh interpreter, because this test process has numpy
+and the whole package loaded already.
 """
 from __future__ import annotations
 
@@ -25,15 +29,15 @@ from qbinomial import bloch
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
-NUMPY_FREE_COMMANDS = [
+# The commands that never load the quantum layer, and those that load it when they run.
+LATTICE_COMMANDS = [
     ["price", "--model", "mb", "--periods", "2"],
     ["price", "--model", "be", "--periods", "2"],
     ["price", "--model", "classical"],
-    ["price", "--model", "quantum_single"],
     ["sweep", "--periods", "20"],
-    ["disk", "--samples", "0"],
-    ["disk", "--samples", "4"],
 ]
+QUANTUM_COMMANDS = [["price", "--model", "quantum_single"], ["disk", "--samples", "0"], ["disk", "--samples", "4"]]
+NUMPY_FREE_COMMANDS = LATTICE_COMMANDS + QUANTUM_COMMANDS
 
 
 def _fresh_interpreter(script: str):
@@ -73,12 +77,12 @@ print(json.dumps(loaded_by))
     return _fresh_interpreter(script)
 
 
-CLI_STEPS = [
-    "import qbinomial",
-    "import qbinomial.cli",
-    *(f"qbinomial.cli.main.main(args={argv!r}, prog_name='qbinomial', standalone_mode=False)"
-      for argv in NUMPY_FREE_COMMANDS),
-]
+def _cli_step(argv: list[str]) -> str:
+    """The statement that runs the command line `argv` through qbinomial.cli in this process."""
+    return f"qbinomial.cli.main.main(args={argv!r}, prog_name='qbinomial', standalone_mode=False)"
+
+
+CLI_STEPS = ["import qbinomial", "import qbinomial.cli", *map(_cli_step, NUMPY_FREE_COMMANDS)]
 
 
 def _entry_points_that_load(module: str) -> list[str]:
@@ -176,6 +180,46 @@ def test_lattice_pricing_loads_only_market_and_pricing():
 )
 def test_quantum_entry_points_load_the_quantum_layer_on_first_use(steps, loaded):
     assert _loaded_by_steps(LATTICE_STEPS + steps, SUBMODULES)[steps[-1]] == loaded
+
+
+def test_lattice_commands_never_load_the_quantum_layer():
+    steps = ["import qbinomial.cli", *map(_cli_step, LATTICE_COMMANDS)]
+    assert _loaded_by_steps(steps, QUANTUM_LAYER) == dict.fromkeys(steps, [])
+
+
+@pytest.mark.parametrize("argv", [*QUANTUM_COMMANDS, ["verify", "--periods", "1"]], ids=" ".join)
+def test_quantum_commands_load_the_quantum_layer_when_they_run(argv):
+    steps = ["import qbinomial.cli", _cli_step(argv)]
+    assert _loaded_by_steps(steps, QUANTUM_LAYER) == {steps[0]: [], steps[1]: QUANTUM_LAYER}
+
+
+def test_cli_forwards_its_disk_names_to_disk():
+    script = """
+import json, sys
+import qbinomial.cli as cli
+try:
+    cli.not_a_name
+except AttributeError as error:
+    unknown = str(error)
+before = "qbinomial.disk" in sys.modules
+forwarded = cli.sample_disk
+loaded = "qbinomial.disk" in sys.modules
+import qbinomial.disk as disk
+print(json.dumps({
+    "before": before,
+    "loaded": loaded,
+    "unknown": unknown,
+    "sample_disk": forwarded is disk.sample_disk,
+    "others": [cli.risk_neutral_disk is disk.risk_neutral_disk, cli.default_observable is disk.default_observable],
+}))
+"""
+    assert _fresh_interpreter(script) == {
+        "before": False,
+        "loaded": True,
+        "unknown": "module 'qbinomial.cli' has no attribute 'not_a_name'",
+        "sample_disk": True,
+        "others": [True, True],
+    }
 
 
 # What market defined or imported before its disk half moved to qbinomial.disk.
