@@ -99,6 +99,57 @@ def test_price_invalid_market_diagnostics():
     assert bad_flag.exit_code == 2
 
 
+_ARBITRAGE_DUMP = {
+    "market": {"bond_initial": 1.0, "stock_initial": 100.0, "rate": 0.3, "down": -0.1, "up": 0.2},
+    "strike": 100.0, "periods": 1, "model": "mb", "seed": 0, "samples": 0, "output_format": "table",
+}
+
+
+# Command lines with several faults, each with the exit code and output recorded for it: the first
+# failing rule is reported, in the order finite, integer, market, option, run, choice, then arbitrage
+# (which --dump-config skips), then the command's own rules.
+MULTI_FAULT_CASES = [
+    ("price --b0 0 --periods 0", None, 2, "", "b0 <= 0: invalid market"),
+    ("price --s0 0 --r -1", None, 2, "", "s0 <= 0: invalid market"),
+    ("price --r -1 --a -2", None, 2, "", "r <= -1: invalid market"),
+    ("price --a -2 --b -3", None, 2, "", "a < -1: invalid market"),
+    ("price --a 0.3 --b 0.2 --strike 0", None, 2, "", "a >= b: invalid market"),
+    ("price --b0 -1 --strike -1", None, 2, "", "b0 <= 0: invalid market"),
+    ("verify --periods 13 --b0 0", None, 2, "", "b0 <= 0: invalid market"),
+    ("price --b0 0", '{"seed": -1}', 2, "", "b0 <= 0: invalid market"),
+    ("price --strike 0 --periods 0", None, 2, "", "strike <= 0: invalid option"),
+    ("sweep --strike -1 --samples -1", None, 2, "", "strike <= 0: invalid option"),
+    ("price --r 0.3 --strike 0", None, 2, "", "strike <= 0: invalid option"),
+    ("disk --strike -5", None, 2, "", "strike <= 0: invalid option"),
+    ("price --b0 inf --s0 0", None, 2, "", "market.bond_initial is not a finite number"),
+    ("price --strike 0", '{"periods": 1.5}', 2, "", "periods is not an integer"),
+    ("sweep --r 0.3 --periods 0", None, 2, "", "periods < 1: invalid run"),
+    ("verify --periods 0 --r 0.3", None, 2, "", "periods < 1: invalid run"),
+    ("disk --r -0.2 --samples -1", None, 2, "", "samples < 0: invalid run"),
+    ("disk --r 0.3 --seed -1", None, 2, "", "seed < 0: invalid run"),
+    ("price --r 0.3", '{"model": "heston"}', 2, "", "unknown model: heston"),
+    ("verify --periods 13 --r 0.3", None, 2, "", "r >= b: arbitrage"),
+    ("verify --periods 13 --r -0.2", None, 2, "", "r <= a: arbitrage"),
+    ("price --model classical --periods 2 --r 0.3", None, 2, "", "r >= b: arbitrage"),
+    ("price --model be --periods 5000 --r 0.3", None, 2, "", "r >= b: arbitrage"),
+    ("price --r 0.3 --dump-config", None, 0, json.dumps(_ARBITRAGE_DUMP, indent=2), ""),
+]
+
+
+@pytest.mark.parametrize("line,config,exit_code,stdout,stderr", MULTI_FAULT_CASES,
+                         ids=[case[0] for case in MULTI_FAULT_CASES])
+def test_several_faults_report_the_first_rule_in_order(tmp_path, line, config, exit_code, stdout, stderr):
+    args = shlex.split(line)
+    if config is not None:
+        path = tmp_path / "run.json"
+        path.write_text(config)
+        args += ["--config", str(path)]
+    result = _invoke(args)
+    assert (result.exit_code, result.stdout, result.stderr) == (
+        exit_code, stdout and stdout + "\n", stderr and stderr + "\n"
+    )
+
+
 @pytest.mark.parametrize(
     "args,first_overflow",
     [
