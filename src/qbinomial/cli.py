@@ -25,7 +25,7 @@ import types
 from typing import Any, Callable
 
 from . import pricing
-from .market import MarketParams, _as_dict, _Record, _set
+from .market import MarketParams, _as_dict, _Record, _set, classical_risk_neutral_q
 from .pricing import MODELS, CallSpec
 
 OUTPUT_FORMATS = ("table", "csv", "json")
@@ -79,8 +79,8 @@ _TYPE_NAMES = {float: "float", int: "integer"}
 
 # (predicate, diagnostic) rows, checked in order; the first that fails is reported.
 # Numeric settings must be finite floats (not JSON booleans), and integer ones
-# integer-valued, before any threshold.
-_CHECKS: list[tuple[Callable[[dict[str, Any]], bool], str]] = [
+# integer-valued, before MarketParams and CallSpec check their own thresholds.
+_NUMBER_CHECKS: list[tuple[Callable[[dict[str, Any]], bool], str]] = [
     *(
         (lambda s, key=key: type(s[key]) in (int, float) and abs(s[key]) <= sys.float_info.max,
          f"{key} is not a finite number")
@@ -92,12 +92,8 @@ _CHECKS: list[tuple[Callable[[dict[str, Any]], bool], str]] = [
         for key, default in _DEFAULTS.items()
         if type(default) is int
     ),
-    (lambda s: s["market.bond_initial"] > 0, "b0 <= 0: invalid market"),
-    (lambda s: s["market.stock_initial"] > 0, "s0 <= 0: invalid market"),
-    (lambda s: s["market.rate"] > -1, "r <= -1: invalid market"),
-    (lambda s: s["market.down"] >= -1, "a < -1: invalid market"),
-    (lambda s: s["market.down"] < s["market.up"], "a >= b: invalid market"),
-    (lambda s: s["strike"] > 0, "strike <= 0: invalid option"),
+]
+_RUN_CHECKS: list[tuple[Callable[[dict[str, Any]], bool], str]] = [
     (lambda s: s["periods"] >= 1, "periods < 1: invalid run"),
     (lambda s: s["samples"] >= 0, "samples < 0: invalid run"),
     (lambda s: s["seed"] >= 0, "seed < 0: invalid run"),
@@ -129,13 +125,19 @@ def _read_config(path: str) -> dict[str, Any]:
     return settings
 
 
-def config_from_dict(settings: dict[str, Any]) -> RunConfig:
-    """Validate resolved settings, naming the violated threshold on failure."""
-    for holds, diagnostic in _CHECKS:
+def _check(rows: list[tuple[Callable[[dict[str, Any]], bool], str]], settings: dict[str, Any]) -> None:
+    for holds, diagnostic in rows:
         if not holds(settings):
             raise ValueError(diagnostic.format(**settings))
+
+
+def config_from_dict(settings: dict[str, Any]) -> RunConfig:
+    """Validate resolved settings, naming the violated threshold on failure."""
+    _check(_NUMBER_CHECKS, settings)
     typed = {key: type(default)(settings[key]) for key, default in _DEFAULTS.items()}
     market = MarketParams(**{key[len("market."):]: v for key, v in typed.items() if "." in key})
+    CallSpec(typed["strike"])  # the option's own threshold, before the run rows
+    _check(_RUN_CHECKS, settings)
     return RunConfig(market=market, **{key: v for key, v in typed.items() if "." not in key})
 
 
@@ -145,20 +147,20 @@ def _cell(value: Any) -> str:
     return f"{value:.6f}" if isinstance(value, float) else str(value)
 
 
-def _emit(fmt: str, document: Any, header: list[str], rows: list[list[Any]],
-          table: list[tuple[str, Any]] | None = None) -> None:
+def _emit(fmt: str, document: Any, records: list[dict[str, Any]], table: list[tuple[str, Any]] | None = None) -> None:
     """Write one result to stdout in format `fmt`.
 
-    json dumps `document`; csv, and table without `table` pairs, writes `header`
-    and `rows`; table otherwise aligns the non-None pairs, floats to six places.
-    csv ends its rows in CRLF (RFC 4180); every other line ends in LF.
+    json dumps `document`; csv, and table without `table` pairs, writes the first
+    record's keys, then each record's values; table otherwise aligns the non-None
+    pairs, floats to six places. csv ends its rows in CRLF (RFC 4180); every other
+    line ends in LF.
     """
     if fmt == "json":
         print(json.dumps(document, indent=2))
     elif fmt == "csv" or table is None:
         buffer = io.StringIO()
         writer = csv.writer(buffer, lineterminator="\r\n" if fmt == "csv" else "\n")
-        writer.writerows([header, *([_cell(value) for value in row] for row in rows)])
+        writer.writerows([list(records[0]), *([_cell(value) for value in record.values()] for record in records)])
         print(buffer.getvalue(), end="")
     else:
         pairs = [(key, _cell(value)) for key, value in table if value is not None]
@@ -307,10 +309,7 @@ class _Group:
             if dump:
                 print(json.dumps(_as_dict(config), indent=2))
                 return
-            if config.market.rate >= config.market.up:
-                raise ValueError("r >= b: arbitrage")
-            if config.market.rate <= config.market.down:
-                raise ValueError("r <= a: arbitrage")
+            classical_risk_neutral_q(config.market)  # every command refuses an arbitrage market
             self.commands[name].callback(config)
         except _UsageError as error:
             lines = [] if error.args[1:] else [f"Usage: {path} {usage}", f"Try '{path} --help' for help.", ""]
@@ -346,7 +345,7 @@ def price(config: RunConfig) -> None:
     else:
         result = pricing.be_price(params, spec, config.periods)
     fields = _as_dict(result)
-    _emit(config.output_format, fields, list(fields), [list(fields.values())], list(fields.items()))
+    _emit(config.output_format, fields, [fields], list(fields.items()))
 
 
 @command
@@ -356,18 +355,18 @@ def disk(config: RunConfig) -> None:
 
     geometry = risk_neutral_disk(config.market, default_observable(config.market))
     n = geometry.normal
-    points = [state.bloch for state in sample_disk(geometry, config.samples, config.seed)]
+    samples = [_as_dict(state.bloch) for state in sample_disk(geometry, config.samples, config.seed)]
     document = {
         "radius": geometry.radius,
         "plane_offset": geometry.plane_offset,
-        "normal": {"x": n.x, "y": n.y, "z": n.z},
-        "samples": [{"x": p.x, "y": p.y, "z": p.z} for p in points],
+        "normal": _as_dict(n),
+        "samples": samples,
     }
     fields = {"radius": geometry.radius, "plane_offset": geometry.plane_offset,
               "normal_x": n.x, "normal_y": n.y, "normal_z": n.z}
-    _emit(config.output_format, document, list(fields), [list(fields.values())], list(fields.items()))
-    if points and config.output_format != "json":
-        _emit(config.output_format, None, ["x", "y", "z"], [[p.x, p.y, p.z] for p in points])
+    _emit(config.output_format, document, [fields], list(fields.items()))
+    if samples and config.output_format != "json":
+        _emit(config.output_format, None, samples)
 
 
 @command
@@ -375,20 +374,15 @@ def verify(config: RunConfig) -> None:
     """Run the oracle agreement suites and report max deviations."""
     from . import oracle
 
-    if config.periods > oracle.DENSE_CAP:
-        raise ValueError("N exceeds dense oracle cap")
     checks = oracle.run_identity_checks(config.market, config.strike, config.periods, config.seed)
     document = {
         "checks": [{**_as_dict(c), "passed": c.passed} for c in checks],
         "passed": all(c.passed for c in checks),
     }
-    _emit(
-        config.output_format,
-        document,
-        ["check", "deviation", "tolerance", "status"],
-        [[c.name, f"{c.deviation:.6e}", f"{c.tolerance:.6e}", "pass" if c.passed else "fail"] for c in checks],
-        [(c.name, f"{c.deviation:.6e}  {'pass' if c.passed else 'FAIL'}") for c in checks],
-    )
+    records = [{"check": c.name, "deviation": f"{c.deviation:.6e}", "tolerance": f"{c.tolerance:.6e}",
+                "status": "pass" if c.passed else "fail"} for c in checks]
+    _emit(config.output_format, document, records,
+          [(c.name, f"{c.deviation:.6e}  {'pass' if c.passed else 'FAIL'}") for c in checks])
     failures = [c for c in checks if not c.passed]
     for c in failures:
         print(f"identity failed: {c.name} (deviation {c.deviation:.6e} >= {c.tolerance:.6e})", file=sys.stderr)
@@ -400,12 +394,8 @@ def verify(config: RunConfig) -> None:
 def sweep(config: RunConfig) -> None:
     """Price series for N = 1..periods at fixed per-period parameters."""
     series = pricing.convergence_sweep(config.market, CallSpec(config.strike), config.periods, config.model)
-    _emit(
-        config.output_format,
-        [{"periods": n, "model": config.model, "price": value} for n, value in series],
-        ["periods", "model", "price"],
-        [[n, config.model, value] for n, value in series],
-    )
+    records = [{"periods": n, "model": config.model, "price": value} for n, value in series]
+    _emit(config.output_format, records, records)
 
 
 def __getattr__(name: str):

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 # A record's __init__ checks its arguments, then sets each field once through _set.
 _set = object.__setattr__
+_INF = float("inf")
 
 
 class _Record:
@@ -47,21 +48,25 @@ class MarketParams(_Record):
 
     The ordering -1 <= down < up is structural; whether the market is
     arbitrage-free (down < rate < up) is a separate queryable predicate.
+    Each parameter must be finite; the first threshold violated is raised
+    as the one-line diagnostic that the CLI prints.
     """
 
     __slots__ = ("bond_initial", "stock_initial", "rate", "down", "up")
 
     def __init__(self, bond_initial: float, stock_initial: float, rate: float, down: float, up: float) -> None:
         if not bond_initial > 0:
-            raise ValueError("bond_initial must be positive")
+            raise ValueError("b0 <= 0: invalid market")
         if not stock_initial > 0:
-            raise ValueError("stock_initial must be positive")
+            raise ValueError("s0 <= 0: invalid market")
         if not rate > -1.0:
-            raise ValueError("rate must exceed -1")
+            raise ValueError("r <= -1: invalid market")
         if not down >= -1.0:
-            raise ValueError("down must be >= -1")
+            raise ValueError("a < -1: invalid market")
         if not down < up:
-            raise ValueError("down must be strictly below up")
+            raise ValueError("a >= b: invalid market")
+        if _INF in (bond_initial, stock_initial, rate, up):  # the thresholds above refuse NaN, -inf and down = inf
+            raise ValueError("b0, s0, r or b is infinite: invalid market")
         _set(self, "bond_initial", bond_initial)
         _set(self, "stock_initial", stock_initial)
         _set(self, "rate", rate)
@@ -98,9 +103,9 @@ def bank_value(params: MarketParams, n: int) -> float:
 
 
 def classical_risk_neutral_q(params: MarketParams) -> float:
-    """The unique classical risk-neutral up-probability (rate-down)/(up-down)."""
+    """The unique classical risk-neutral up-probability (rate-down)/(up-down); raises the side crossed otherwise."""
     if not is_arbitrage_free(params):
-        raise ValueError("market admits arbitrage: no risk-neutral q in (0, 1)")
+        raise ValueError("r >= b: arbitrage" if params.rate >= params.up else "r <= a: arbitrage")
     return (params.rate - params.down) / (params.up - params.down)
 
 

@@ -42,7 +42,7 @@ PATH_CAP = 25
 
 def _check_dense_cap(periods: int) -> None:
     if periods > DENSE_CAP:
-        raise ValueError(f"N={periods} exceeds dense oracle cap ({DENSE_CAP})")
+        raise ValueError("N exceeds dense oracle cap")
     if periods < 1:
         raise ValueError("periods must be >= 1")
 

@@ -46,7 +46,7 @@ class CallSpec(_Record):
 
     def __init__(self, strike: float) -> None:
         if not strike > 0.0:
-            raise ValueError("strike must be positive")
+            raise ValueError("strike <= 0: invalid option")
         _set(self, "strike", strike)
 
 

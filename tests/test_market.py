@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import decimal
 import math
+import re
 import sys
 from fractions import Fraction
 
@@ -14,6 +15,7 @@ import qbinomial.disk as disk_module
 import qbinomial.market as market_module
 from conftest import REFERENCE, near_threshold_market, random_market, random_unit
 from test_cli import WIDE_VERIFY_MARKETS
+from test_cli_golden import GOLDEN
 from qbinomial.bloch import TOL
 from qbinomial import (
     BlochVector,
@@ -34,6 +36,7 @@ from qbinomial import (
     oracle_price_be,
     oracle_price_mb,
     risk_neutral_disk,
+    run_identity_checks,
     sample_disk,
     single_period_trace_price,
 )
@@ -45,17 +48,52 @@ def _params(rate: float, down: float = -0.1, up: float = 0.2) -> MarketParams:
     )
 
 
+def _golden_line(name: str) -> str:
+    """A pattern matching exactly the one-line stderr diagnostic of golden CLI case `name`."""
+    line = GOLDEN[name]["stderr"].removesuffix("\n")
+    return f"^{re.escape(line)}$"
+
+
 def test_market_params_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=_golden_line("error-b0")):
         MarketParams(bond_initial=0.0, stock_initial=100.0, rate=0.05, down=-0.1, up=0.2)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=_golden_line("error-s0")):
         MarketParams(bond_initial=1.0, stock_initial=-1.0, rate=0.05, down=-0.1, up=0.2)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=_golden_line("error-rate")):
         MarketParams(bond_initial=1.0, stock_initial=100.0, rate=-1.0, down=-0.1, up=0.2)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=_golden_line("error-down")):
         MarketParams(bond_initial=1.0, stock_initial=100.0, rate=0.05, down=-1.5, up=0.2)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=_golden_line("error-order")):
         MarketParams(bond_initial=1.0, stock_initial=100.0, rate=0.05, down=0.2, up=0.2)
+
+
+# The other library refusals that the CLI prints as they are, by the golden case that recorded the line.
+LIBRARY_REFUSALS = {
+    "error-strike": lambda: CallSpec(0.0),
+    "error-arbitrage-high": lambda: classical_risk_neutral_q(_params(0.3)),
+    "error-arbitrage-low": lambda: classical_risk_neutral_q(_params(-0.2)),
+    "error-dense-cap": lambda: run_identity_checks(REFERENCE, 100.0, 13, 0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LIBRARY_REFUSALS))
+def test_library_refusals_are_the_cli_diagnostics(name):
+    with pytest.raises(ValueError, match=_golden_line(name)):
+        LIBRARY_REFUSALS[name]()
+
+
+@pytest.mark.parametrize("field", ["bond_initial", "stock_initial", "rate", "up"])
+def test_market_params_refuses_infinite_parameters(field):
+    # An infinite up return once gave q = 0.0, outside (0, 1), and an infinite B0 an infinite bank value.
+    with pytest.raises(ValueError, match="^b0, s0, r or b is infinite: invalid market$"):
+        MarketParams(**{**market_module._as_dict(REFERENCE), field: math.inf})
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("field", MarketParams.__slots__)
+def test_market_params_refuses_every_non_finite_parameter(field, value):
+    with pytest.raises(ValueError, match=": invalid market$"):
+        MarketParams(**{**market_module._as_dict(REFERENCE), field: value})
 
 
 def test_total_loss_down_return_is_structural():
@@ -80,7 +118,7 @@ def test_bank_value():
 def test_classical_risk_neutral_q():
     assert classical_risk_neutral_q(_params(0.05)) == 0.5
     assert classical_risk_neutral_q(_params(0.0, down=-0.5, up=0.5)) == 0.5
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=_golden_line("error-arbitrage-low")):
         classical_risk_neutral_q(_params(0.0, down=0.0, up=1.0))
 
 
