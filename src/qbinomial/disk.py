@@ -11,7 +11,7 @@ import itertools
 import math
 
 from .bloch import TOL, BlochVector, DensityState, TwoLevelObservable, is_faithful, make_observable
-from .market import MarketParams, _Record, _set, classical_risk_neutral_q, is_arbitrage_free
+from .market import MarketParams, _Record, _set, classical_risk_neutral_q
 
 # Tolerance on the plane constraint for membership tests, in Bloch units
 # (the state's component along the normal against the plane offset);
@@ -67,11 +67,7 @@ def check_observable(params: MarketParams, obs: TwoLevelObservable) -> None:
 
 
 def _plane(params: MarketParams) -> tuple[float, float]:
-    """(offset, radius) of the disk on any observable with the market's values; ValueError for an empty disk."""
-    if not is_arbitrage_free(params):
-        # exact threshold comparison on the raw parameters: the derived
-        # plane offset can round a hair below 1 right at rate == up
-        raise ValueError("empty risk-neutral disk: market admits arbitrage")
+    """(offset, radius) of the disk on the market's observables; classical_risk_neutral_q refuses an empty disk."""
     q = classical_risk_neutral_q(params)
     q_bar = (params.up - params.rate) / (params.up - params.down)
     return q - q_bar, 2.0 * math.sqrt(q * q_bar)
@@ -91,8 +87,9 @@ def risk_neutral_disk(params: MarketParams, obs: TwoLevelObservable) -> RiskNeut
     The observable must carry the market's own return values; the result is
     the open disk where the plane <normal, v> = q - q̄ cuts the open unit ball,
     of radius 2·sqrt(q·q̄), for the risk-neutral up and down probabilities
-    q = (rate-down)/(up-down) and q̄ = (up-rate)/(up-down). Raises when the
-    disk is empty, which happens exactly when the market admits arbitrage.
+    q = (rate-down)/(up-down) and q̄ = (up-rate)/(up-down). A foreign observable
+    raises first; then an empty disk, which is an arbitrage market, raises
+    classical_risk_neutral_q's diagnostic for the threshold crossed.
     """
     check_observable(params, obs)
     t, radius = _plane(params)

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 # A record's __init__ checks its arguments, then sets each field once through _set.
 _set = object.__setattr__
-_INF = float("inf")
 
 
 class _Record:
@@ -48,25 +47,26 @@ class MarketParams(_Record):
 
     The ordering -1 <= down < up is structural; whether the market is
     arbitrage-free (down < rate < up) is a separate queryable predicate.
-    Each parameter must be finite; the first threshold violated is raised
-    as the one-line diagnostic that the CLI prints.
+    A NaN or infinite parameter (x - x is not 0) is refused first; then the
+    first threshold violated raises the one-line diagnostic the CLI prints.
     """
 
     __slots__ = ("bond_initial", "stock_initial", "rate", "down", "up")
 
     def __init__(self, bond_initial: float, stock_initial: float, rate: float, down: float, up: float) -> None:
-        if not bond_initial > 0:
+        if not (bond_initial - bond_initial == stock_initial - stock_initial == rate - rate
+                == down - down == up - up == 0):
+            raise ValueError("b0, s0, r, a or b is not finite: invalid market")
+        if bond_initial <= 0:
             raise ValueError("b0 <= 0: invalid market")
-        if not stock_initial > 0:
+        if stock_initial <= 0:
             raise ValueError("s0 <= 0: invalid market")
-        if not rate > -1.0:
+        if rate <= -1.0:
             raise ValueError("r <= -1: invalid market")
-        if not down >= -1.0:
+        if down < -1.0:
             raise ValueError("a < -1: invalid market")
-        if not down < up:
+        if down >= up:
             raise ValueError("a >= b: invalid market")
-        if _INF in (bond_initial, stock_initial, rate, up):  # the thresholds above refuse NaN, -inf and down = inf
-            raise ValueError("b0, s0, r or b is infinite: invalid market")
         _set(self, "bond_initial", bond_initial)
         _set(self, "stock_initial", stock_initial)
         _set(self, "rate", rate)

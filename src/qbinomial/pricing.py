@@ -45,7 +45,9 @@ class CallSpec(_Record):
     __slots__ = ("strike",)
 
     def __init__(self, strike: float) -> None:
-        if not strike > 0.0:
+        if not strike - strike == 0:  # NaN or infinite: x - x is NaN
+            raise ValueError("strike is not finite: invalid option")
+        if strike <= 0.0:
             raise ValueError("strike <= 0: invalid option")
         _set(self, "strike", strike)
 

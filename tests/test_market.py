@@ -13,6 +13,7 @@ import pytest
 import qbinomial.cli as cli_module
 import qbinomial.disk as disk_module
 import qbinomial.market as market_module
+import qbinomial.pricing as pricing_module
 from conftest import REFERENCE, near_threshold_market, random_market, random_unit
 from test_cli import WIDE_VERIFY_MARKETS
 from test_cli_golden import GOLDEN
@@ -48,10 +49,14 @@ def _params(rate: float, down: float = -0.1, up: float = 0.2) -> MarketParams:
     )
 
 
+def _golden_text(name: str) -> str:
+    """The one-line stderr diagnostic of golden CLI case `name`."""
+    return GOLDEN[name]["stderr"].removesuffix("\n")
+
+
 def _golden_line(name: str) -> str:
     """A pattern matching exactly the one-line stderr diagnostic of golden CLI case `name`."""
-    line = GOLDEN[name]["stderr"].removesuffix("\n")
-    return f"^{re.escape(line)}$"
+    return f"^{re.escape(_golden_text(name))}$"
 
 
 def test_market_params_validation():
@@ -82,18 +87,22 @@ def test_library_refusals_are_the_cli_diagnostics(name):
         LIBRARY_REFUSALS[name]()
 
 
-@pytest.mark.parametrize("field", ["bond_initial", "stock_initial", "rate", "up"])
-def test_market_params_refuses_infinite_parameters(field):
-    # An infinite up return once gave q = 0.0, outside (0, 1), and an infinite B0 an infinite bank value.
-    with pytest.raises(ValueError, match="^b0, s0, r or b is infinite: invalid market$"):
-        MarketParams(**{**market_module._as_dict(REFERENCE), field: math.inf})
-
-
+# A non-finite field is reported as not finite, never as a threshold: a NaN B0 is not <= 0, and an
+# infinite up return passes every threshold but would give q = 0.0, outside (0, 1).
 @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
 @pytest.mark.parametrize("field", MarketParams.__slots__)
 def test_market_params_refuses_every_non_finite_parameter(field, value):
-    with pytest.raises(ValueError, match=": invalid market$"):
+    with pytest.raises(ValueError) as raised:
         MarketParams(**{**market_module._as_dict(REFERENCE), field: value})
+    assert str(raised.value) == "b0, s0, r, a or b is not finite: invalid market"
+
+
+# A NaN strike is not <= 0, and an infinite one passes the threshold but would price every call at 0.0.
+@pytest.mark.parametrize("strike", [math.inf, -math.inf, math.nan])
+def test_call_spec_refuses_a_non_finite_strike(strike):
+    with pytest.raises(ValueError) as raised:
+        CallSpec(strike)
+    assert str(raised.value) == "strike is not finite: invalid option"
 
 
 def test_total_loss_down_return_is_structural():
@@ -436,7 +445,7 @@ _MEMBERSHIP_INPUTS = {
     "off-disk state, narrow spread": (_NARROW, make_state(_Z.scaled(0.1)), default_observable(_NARROW)),
 }
 _FOREIGN = "observable values must match the market's (down, up)"
-_EMPTY = "empty risk-neutral disk: market admits arbitrage"
+_ARBITRAGE_HIGH = _golden_text("error-arbitrage-high")  # _ARBITRAGE has r > b
 
 
 # oracle_price_mb builds each factor's observable from the market, so no foreign one reaches it.
@@ -444,16 +453,16 @@ _EMPTY = "empty risk-neutral disk: market admits arbitrage"
     "caller, inputs, message",
     [
         ("single_period_trace_price", "foreign observable", _FOREIGN),
-        ("single_period_trace_price", "arbitrage market", _EMPTY),
+        ("single_period_trace_price", "arbitrage market", _ARBITRAGE_HIGH),
         ("single_period_trace_price", "off-disk state", "state is not in the risk-neutral disk"),
         ("single_period_trace_price", "foreign observable, tiny spread", _FOREIGN),
         ("single_period_trace_price", "off-disk state, narrow spread", "state is not in the risk-neutral disk"),
         ("oracle_price_be", "foreign observable", _FOREIGN),
-        ("oracle_price_be", "arbitrage market", _EMPTY),
+        ("oracle_price_be", "arbitrage market", _ARBITRAGE_HIGH),
         ("oracle_price_be", "off-disk state", "state is not in the risk-neutral disk"),
         ("oracle_price_be", "foreign observable, tiny spread", _FOREIGN),
         ("oracle_price_be", "off-disk state, narrow spread", "state is not in the risk-neutral disk"),
-        ("oracle_price_mb", "arbitrage market", _EMPTY),
+        ("oracle_price_mb", "arbitrage market", _ARBITRAGE_HIGH),
         ("oracle_price_mb", "off-disk state", "factor 0 is not in the risk-neutral disk"),
         ("oracle_price_mb", "off-disk state, narrow spread", "factor 0 is not in the risk-neutral disk"),
     ],
@@ -462,6 +471,27 @@ def test_membership_callers_raise_the_disk_errors(caller, inputs, message):
     with pytest.raises(ValueError) as raised:
         _MEMBERSHIP_CALLERS[caller](*_MEMBERSHIP_INPUTS[inputs])
     assert str(raised.value) == message
+
+
+# The disk, its membership test and the one-period quantum price all get the plane from classical_risk_neutral_q.
+_DISK_ROUTES = {
+    "risk_neutral_disk": lambda p: risk_neutral_disk(p, default_observable(p)),
+    "disk_contains": lambda p: disk_contains(p, _CENTER, default_observable(p)),
+    "quantum_single_price": lambda p: pricing_module.quantum_single_price(p, call_two_point(p, _CALL)),
+}
+
+
+# r above b, r at b, r at a and r below a: the disk is empty on each, and its rule has one text per side.
+@pytest.mark.parametrize("rate, golden", [(0.25, "error-arbitrage-high"), (0.2, "error-arbitrage-high"),
+                                          (-0.1, "error-arbitrage-low"), (-0.2, "error-arbitrage-low")])
+@pytest.mark.parametrize("route", sorted(_DISK_ROUTES))
+def test_disk_routes_raise_the_arbitrage_diagnostic(route, rate, golden):
+    params = _params(rate)
+    with pytest.raises(ValueError) as owner:
+        classical_risk_neutral_q(params)
+    with pytest.raises(ValueError) as raised:
+        _DISK_ROUTES[route](params)
+    assert str(raised.value) == str(owner.value) == _golden_text(golden)
 
 
 def test_membership_builds_no_disk(monkeypatch):
