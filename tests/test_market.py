@@ -87,6 +87,13 @@ def test_library_refusals_are_the_cli_diagnostics(name):
         LIBRARY_REFUSALS[name]()
 
 
+@pytest.mark.parametrize("field", ["bond_initial", "stock_initial", "rate", "up"])
+def test_market_params_refuses_infinite_parameters(field):
+    # An infinite up return once gave q = 0.0, outside (0, 1), and an infinite B0 an infinite bank value.
+    with pytest.raises(ValueError, match="^b0, s0, r, a or b is not finite: invalid market$"):
+        MarketParams(**{**market_module._as_dict(REFERENCE), field: math.inf})
+
+
 # A non-finite field is reported as not finite, never as a threshold: a NaN B0 is not <= 0, and an
 # infinite up return passes every threshold but would give q = 0.0, outside (0, 1).
 @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
