@@ -113,15 +113,15 @@ class TwoLevelObservable(_Record):
     Stored as the two eigenvalues plus a Bloch direction whose norm is
     pinned to (high - low)/2, within TOL relative to that norm when it
     exceeds 1; the matrix form is
-    offset*I + direction.sigma with offset = (low + high)/2.
+    offset*I + direction.sigma with offset = (low + high)/2. The spectrum
+    is checked before the direction: a NaN or infinite eigenvalue is refused
+    first, then low >= high.
     """
 
     __slots__ = ("low", "high", "direction")
 
     def __init__(self, low: float, high: float, direction: BlochVector) -> None:
-        if not low < high:
-            raise ValueError("low must be strictly below high")
-        target = 0.5 * (high - low)
+        target = self._half_width(low, high)
         if abs(direction.norm() - target) > TOL * max(1.0, target):
             raise ValueError(
                 "direction norm must equal (high - low)/2; "
@@ -130,6 +130,15 @@ class TwoLevelObservable(_Record):
         _set(self, "low", low)
         _set(self, "high", high)
         _set(self, "direction", direction)
+
+    @staticmethod
+    def _half_width(low: float, high: float) -> float:
+        """(high - low)/2 of a valid spectrum: finite eigenvalues (x - x is 0), low strictly below high."""
+        if not low - low == high - high == 0:
+            raise ValueError("eigenvalues low and high must be finite")
+        if not low < high:
+            raise ValueError("low must be strictly below high")
+        return 0.5 * (high - low)
 
     @property
     def offset(self) -> float:
@@ -167,11 +176,16 @@ def make_observable(low: float, high: float, unit_direction: BlochVector) -> Two
     unit_direction : BlochVector
         Direction of the Bloch axis; must have norm 1 within TOL. It is
         rescaled to norm (high - low)/2 so the spectrum is exact.
+
+    The spectrum is checked, by TwoLevelObservable's own rule, before the
+    direction is scaled, so a bad eigenvalue is never reported as a bad
+    direction.
     """
+    half_width = TwoLevelObservable._half_width(low, high)
     n = unit_direction.norm()
     if abs(n - 1.0) > TOL:
         raise ValueError(f"direction {unit_direction} is not unit norm (norm {n:.12g})")
-    direction = unit_direction.scaled(0.5 * (high - low) / n)
+    direction = unit_direction.scaled(half_width / n)
     return TwoLevelObservable(low, high, direction)
 
 

@@ -13,12 +13,14 @@ exact choice, and --help is answered before any value is converted. Help
 pages have a fixed 80-column layout: terms take a 30-column field, and a
 longer term puts its help on the next line at column 34. They are not
 rewrapped on narrower terminals.
+
+Help pages, did-you-mean hints and config-file reading live in
+qbinomial._cli_cold, which this module imports only in the branches that
+use it, and `_emit` imports json or csv only for the format that needs it:
+a command run from flags compiles none of them.
 """
 from __future__ import annotations
 
-import csv
-import io
-import json
 import os
 import sys
 import types
@@ -104,27 +106,6 @@ _RUN_CHECKS: list[tuple[Callable[[dict[str, Any]], bool], str]] = [
 ]
 
 
-def _read_config(path: str) -> dict[str, Any]:
-    """The config file's settings; the market ones nest under "market"."""
-    try:
-        with open(path, encoding="utf-8") as handle:
-            loaded = json.load(handle)
-    except ValueError as exc:  # JSONDecodeError, or UnicodeDecodeError on a file that is not UTF-8
-        raise ValueError(f"config is not valid JSON: {exc}") from exc
-    if not isinstance(loaded, dict):
-        raise ValueError("config must be a JSON object")
-    settings = {}
-    for key, value in loaded.items():
-        if key == "market" and not isinstance(value, dict):
-            raise ValueError("config key 'market' must be an object")
-        prefix, items = ("market.", value.items()) if key == "market" else ("", [(key, value)])
-        for name, setting in items:
-            if "." in name or prefix + name not in _DEFAULTS:
-                raise ValueError(f"unknown config key: {prefix}{name}")
-            settings[prefix + name] = setting
-    return settings
-
-
 def _check(rows: list[tuple[Callable[[dict[str, Any]], bool], str]], settings: dict[str, Any]) -> None:
     for holds, diagnostic in rows:
         if not holds(settings):
@@ -153,15 +134,21 @@ def _emit(fmt: str, document: Any, records: list[dict[str, Any]], table: list[tu
     json dumps `document`; csv, and table without `table` pairs, writes the first
     record's keys, then each record's values; table otherwise aligns the non-None
     pairs, floats to six places. csv ends its rows in CRLF (RFC 4180); every other
-    line ends in LF.
+    line ends in LF. Each format imports the module that writes it, so a table
+    process loads neither json nor csv.
     """
     if fmt == "json":
+        import json
+
         print(json.dumps(document, indent=2))
     elif fmt == "csv" or table is None:
-        buffer = io.StringIO()
-        writer = csv.writer(buffer, lineterminator="\r\n" if fmt == "csv" else "\n")
-        writer.writerows([list(records[0]), *([_cell(value) for value in record.values()] for record in records)])
-        print(buffer.getvalue(), end="")
+        rows = [list(records[0]), *([_cell(value) for value in record.values()] for record in records)]
+        if fmt == "csv":
+            import csv
+
+            csv.writer(sys.stdout, lineterminator="\r\n").writerows(rows)
+        else:  # numbers and choice names: no cell holds what csv would quote
+            print(*map(",".join, rows), sep="\n")
     else:
         pairs = [(key, _cell(value)) for key, value in table if value is not None]
         width = max(len(key) for key, _ in pairs)
@@ -171,17 +158,6 @@ def _emit(fmt: str, document: Any, records: list[dict[str, Any]], table: list[tu
 
 class _UsageError(Exception):
     """A refused command line: exit 2, below the usage lines unless a second argument is true."""
-
-
-def _did_you_mean(name: str, known: Any) -> str:
-    """The hint after an unknown name: its close matches among `known`, or ""."""
-    from difflib import get_close_matches
-
-    matches = sorted(get_close_matches(name, known))
-    quoted = ", ".join(map(repr, matches))
-    if not matches:
-        return ""
-    return f" Did you mean {quoted}?" if len(matches) == 1 else f" (Did you mean one of: {quoted}?)"
 
 
 def _parse(args: list[str], options: dict[str, Any], interspersed: bool) -> tuple[dict[str, Any], list[str]]:
@@ -200,6 +176,8 @@ def _parse(args: list[str], options: dict[str, Any], interspersed: bool) -> tupl
                 return values, [arg, *args]
             positional.append(arg)
         elif flag not in options:
+            from ._cli_cold import _did_you_mean
+
             raise _UsageError(f"No such option {flag!r}.{_did_you_mean(flag, options)}" if arg[:2] == "--"
                               else f"No such option {arg[:2]!r}.")
         elif options[flag][1] is None and equals:
@@ -228,23 +206,6 @@ def _convert(flag: str, raw: Any) -> Any:
     if problem:
         raise _UsageError(f"Invalid value for {flag!r}: {problem}")
     return raw
-
-
-def _metavar(kind: Any) -> str:
-    return f"[{'|'.join(kind)}]" if isinstance(kind, tuple) else _TYPE_NAMES.get(kind, kind or "").upper()
-
-
-def _help_page(usage: str, doc: str, options: dict[str, Any], commands: list[tuple[str, str]]) -> str:
-    """A help page in click's 80-column layout: a term over 30 columns puts its help on the next line."""
-    terms = [(f"{flag} {_metavar(kind)}".rstrip(), text) for flag, (_, kind, text) in options.items()]
-    lines = [f"Usage: {usage}", "", f"  {doc}"]
-    for title, rows in [("Options", terms), ("Commands", commands)]:
-        if not rows:
-            continue
-        width = min(max(len(term) for term, _ in rows), 30) + 2
-        lines += ["", f"{title}:", *(f"  {term:<{width}}{text}" if len(term) <= width - 2
-                                     else f"  {term}\n{'':{width + 2}}{text}" for term, text in rows)]
-    return "\n".join(lines)
 
 
 def _program_name() -> str:
@@ -286,11 +247,15 @@ class _Group:
         commands = sorted((name, command.help) for name, command in self.commands.items())
         try:
             if not args:
+                from ._cli_cold import _help_page
+
                 print(_help_page(f"{path} {usage}", doc, options, commands), file=sys.stderr)
                 sys.exit(2)
             flags, rest = _parse(args, options, interspersed=False)
             if "--help" not in flags:
                 if not rest or rest[0] not in self.commands:
+                    from ._cli_cold import _did_you_mean
+
                     raise _UsageError(f"No such command {rest[0]!r}.{_did_you_mean(rest[0], self.commands)}"
                                       if rest else "Missing command.")
                 name, *rest = rest
@@ -298,16 +263,22 @@ class _Group:
                 doc = self.commands[name].help
                 flags, rest = _parse(rest, options, interspersed=True)
             if "--help" in flags:
+                from ._cli_cold import _help_page
+
                 print(_help_page(f"{path} {usage}", doc, options, commands))
                 return
             values = {_OPTIONS[flag][0]: _convert(flag, raw) for flag, raw in flags.items()}
             if rest:
                 raise _UsageError(f"Got unexpected extra argument{'s' * (len(rest) > 1)} ({' '.join(rest)})")
             dump = values.pop("dump_config", False)
-            loaded = _read_config(values.pop("config")) if "config" in values else {}
+            loaded = {}
+            if "config" in values:
+                from ._cli_cold import _read_config
+
+                loaded = _read_config(values.pop("config"))
             config = config_from_dict({**_DEFAULTS, **loaded, **values})
             if dump:
-                print(json.dumps(_as_dict(config), indent=2))
+                _emit("json", _as_dict(config), [])
                 return
             classical_risk_neutral_q(config.market)  # every command refuses an arbitrage market
             self.commands[name].callback(config)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 
 from .bloch import TOL, BlochVector, DensityState, TwoLevelObservable, is_faithful, make_observable
 from .market import MarketParams, _Record, _set, classical_risk_neutral_q
@@ -120,6 +121,10 @@ class _Pcg64:
     """
 
     def __init__(self, seed: int) -> None:
+        try:  # any integer type, numpy's included; numpy refuses a float seed with TypeError too
+            seed = operator.index(seed)
+        except TypeError:
+            raise TypeError(f"seed must be an integer, not {seed!r}") from None
         if seed < 0:
             raise ValueError("expected non-negative integer")
         entropy = [seed >> shift & _MASK32 for shift in range(0, max(seed.bit_length(), 1), 32)]
@@ -168,7 +173,7 @@ def sample_disk(disk: RiskNeutralDisk, count: int, seed: int) -> list[DensitySta
     Uniformity comes from the radial inverse CDF (radius * sqrt(U)) over
     in-plane polar coordinates, redrawn inside the thin rim is_faithful
     rejects; a disk with no faithful state raises ValueError. Deterministic
-    for a fixed seed, which must be nonnegative; outside that rim the
+    for a fixed seed, which must be a nonnegative integer; outside that rim the
     samples are those numpy.random.default_rng(seed) would draw.
     """
     if count < 0:

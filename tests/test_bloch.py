@@ -87,6 +87,23 @@ def test_make_observable_rejects_bad_inputs():
         make_observable(-0.1, 0.2, BlochVector(0.0, 0.0, 2.0))
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "+inf", "-inf"])
+@pytest.mark.parametrize("side", ["low", "high"])
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda low, high: make_observable(low, high, BlochVector(0.0, 0.0, 1.0)),
+        lambda low, high: TwoLevelObservable(low, high, BlochVector(0.0, 0.0, 0.15)),
+    ],
+    ids=["make_observable", "TwoLevelObservable"],
+)
+def test_observable_refuses_a_non_finite_eigenvalue(build, side, bad):
+    # the spectrum is refused as the spectrum, before the direction is scaled or measured
+    low, high = (bad, 0.2) if side == "low" else (-0.1, bad)
+    with pytest.raises(ValueError, match="^eigenvalues low and high must be finite$"):
+        build(low, high)
+
+
 def test_make_observable_accepts_its_own_large_spectra():
     # a unit direction scaled by 4.5e8 rounds its norm off by more than the absolute TOL
     rng = np.random.default_rng(65)

@@ -8,6 +8,10 @@ entry points load it on first use. The same holds for the CLI: its import,
 `price` in the mb, be and classical models and `sweep` never load the quantum
 layer, and `disk`, `price --model quantum_single` and `verify` load it when
 they run; `qbinomial.cli` forwards its three disk names to `qbinomial.disk`.
+The CLI's cold path (qbinomial._cli_cold: help pages, did-you-mean hints
+and config files) loads only for the no-argument page, --help, a refused
+command line and --config, and csv and json load only with the format that
+writes them, so a table-format command loads none of the three.
 Each check runs in a fresh interpreter, because this test process has numpy
 and the whole package loaded already.
 """
@@ -40,16 +44,20 @@ QUANTUM_COMMANDS = [["price", "--model", "quantum_single"], ["disk", "--samples"
 NUMPY_FREE_COMMANDS = LATTICE_COMMANDS + QUANTUM_COMMANDS
 
 
+def _env(*paths: Path) -> dict[str, str]:
+    """This process's environment, with `paths` and then src/ ahead of PYTHONPATH."""
+    path = [*map(str, paths), str(SRC), *filter(None, [os.environ.get("PYTHONPATH")])]
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+
+
 def _fresh_interpreter(script: str):
     """Run `script` in a new interpreter that imports qbinomial from src/.
 
     The script's last stdout line is JSON; it is returned parsed.
     """
-    path = [str(SRC), *filter(None, [os.environ.get("PYTHONPATH")])]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
     done = subprocess.run(
         [sys.executable, "-c", script],
-        env=env,
+        env=_env(),
         capture_output=True,
         text=True,
         timeout=120,
@@ -122,8 +130,7 @@ sys.meta_path.insert(0, NoClick())
 
 def test_python_m_qbinomial_runs_without_click(tmp_path):
     (tmp_path / "sitecustomize.py").write_text(NO_CLICK)
-    path = [str(tmp_path), str(SRC), *filter(None, [os.environ.get("PYTHONPATH")])]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+    env = _env(tmp_path)
 
     def run(*argv: str) -> tuple[int, str, str]:
         done = subprocess.run([sys.executable, *argv], env=env, capture_output=True, text=True, timeout=120)
@@ -191,6 +198,59 @@ def test_lattice_commands_never_load_the_quantum_layer():
 def test_quantum_commands_load_the_quantum_layer_when_they_run(argv):
     steps = ["import qbinomial.cli", _cli_step(argv)]
     assert _loaded_by_steps(steps, QUANTUM_LAYER) == {steps[0]: [], steps[1]: QUANTUM_LAYER}
+
+
+COLD_PATH = "qbinomial._cli_cold"
+
+
+def test_commands_run_from_flags_never_load_the_cold_path_or_csv():
+    # every NUMPY_FREE_COMMANDS line is in the default table format
+    assert _loaded_by_steps(CLI_STEPS, [COLD_PATH, "csv"]) == dict.fromkeys(CLI_STEPS, [])
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["price", "--format", "csv"], ["sweep", "--periods", "3", "--format", "csv"],
+     ["disk", "--samples", "2", "--format", "csv"]],
+    ids=" ".join,
+)
+def test_csv_format_loads_csv(argv):
+    steps = ["import qbinomial.cli", _cli_step(argv)]
+    assert _loaded_by_steps(steps, [COLD_PATH, "csv"]) == {steps[0]: [], steps[1]: ["csv"]}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [[], ["--help"], ["price", "--help"], ["prce"], ["price", "--perods", "2"], ["price", "--config", "{config}"]],
+    ids=lambda argv: " ".join(argv) or "no arguments",
+)
+def test_help_hints_and_config_load_the_cold_path(argv, tmp_path):
+    config = tmp_path / "config.json"
+    config.write_text('{"periods": 2}')
+    # the no-argument page and a refused command line exit 2, which the step catches
+    run = _cli_step([arg.format(config=config) for arg in argv])
+    steps = ["import qbinomial.cli", f"try:\n    {run}\nexcept SystemExit:\n    pass"]
+    assert _loaded_by_steps(steps, [COLD_PATH, "csv"]) == {steps[0]: [], steps[1]: [COLD_PATH]}
+
+
+@pytest.mark.parametrize(
+    "argv, loaded",
+    [
+        (["price", "--periods", "2"], []),
+        (["sweep", "--periods", "5"], []),
+        (["price", "--format", "json"], ["json"]),
+        (["price", "--format", "csv"], ["csv"]),
+        (["--help"], [COLD_PATH]),
+    ],
+    ids=["price", "sweep", "price json", "price csv", "help"],
+)
+def test_whole_processes_load_json_csv_and_the_cold_path_only_on_use(argv, loaded):
+    # _loaded_by_steps imports json itself, so a whole process is read by -X importtime, as CI does
+    done = subprocess.run([sys.executable, "-X", "importtime", "-m", "qbinomial", *argv], env=_env(),
+                          capture_output=True, text=True, timeout=120, check=False)
+    assert done.returncode == 0, done.stderr
+    imported = {line.rpartition("|")[2].strip() for line in done.stderr.splitlines() if line.startswith("import time:")}
+    assert sorted(imported & {COLD_PATH, "csv", "json"}) == loaded
 
 
 def test_cli_forwards_its_disk_names_to_disk():

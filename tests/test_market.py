@@ -352,6 +352,19 @@ def test_sample_disk_rejects_a_negative_seed():
         sample_disk(disk, 2, -1)
 
 
+@pytest.mark.parametrize("seed", [1.5, 2.0, "3"])
+def test_sample_disk_rejects_a_non_integer_seed(seed):
+    # numpy.random.default_rng refuses these with TypeError too
+    disk = risk_neutral_disk(REFERENCE, default_observable(REFERENCE))
+    with pytest.raises(TypeError, match="^seed must be an integer, not "):
+        sample_disk(disk, 1, seed)
+
+
+def test_sample_disk_takes_a_numpy_integer_seed():
+    disk = risk_neutral_disk(REFERENCE, default_observable(REFERENCE))
+    assert sample_disk(disk, 3, np.int64(5)) == sample_disk(disk, 3, 5)
+
+
 def test_sample_disk_stays_faithful_next_to_the_thresholds():
     rng = np.random.default_rng(38)
     sampled = 0
