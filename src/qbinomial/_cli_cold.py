@@ -3,16 +3,17 @@
 No command that runs from flags alone uses these, so `qbinomial.cli` imports
 this module only in the branches that need it (the no-argument page, --help,
 a refused command line and --config) and a pricing process never compiles it.
+It imports nothing from qbinomial.cli: what it needs of the CLI's tables comes
+in as arguments, so a `python -m qbinomial.cli` process does not load cli.py a
+second time under its package name.
 """
 from __future__ import annotations
 
 from typing import Any
 
-from .cli import _DEFAULTS, _TYPE_NAMES
 
-
-def _read_config(path: str) -> dict[str, Any]:
-    """The config file's settings; the market ones nest under "market"."""
+def _read_config(path: str, known: Any) -> dict[str, Any]:
+    """The config file's settings, each a key of `known`; the market ones nest under "market"."""
     import json
 
     try:
@@ -28,7 +29,7 @@ def _read_config(path: str) -> dict[str, Any]:
             raise ValueError("config key 'market' must be an object")
         prefix, items = ("market.", value.items()) if key == "market" else ("", [(key, value)])
         for name, setting in items:
-            if "." in name or prefix + name not in _DEFAULTS:
+            if "." in name or prefix + name not in known:
                 raise ValueError(f"unknown config key: {prefix}{name}")
             settings[prefix + name] = setting
     return settings
@@ -45,13 +46,14 @@ def _did_you_mean(name: str, known: Any) -> str:
     return f" Did you mean {quoted}?" if len(matches) == 1 else f" (Did you mean one of: {quoted}?)"
 
 
-def _metavar(kind: Any) -> str:
-    return f"[{'|'.join(kind)}]" if isinstance(kind, tuple) else _TYPE_NAMES.get(kind, kind or "").upper()
+def _metavar(kind: Any, type_names: dict[Any, str]) -> str:
+    return f"[{'|'.join(kind)}]" if isinstance(kind, tuple) else type_names.get(kind, kind or "").upper()
 
 
-def _help_page(usage: str, doc: str, options: dict[str, Any], commands: list[tuple[str, str]]) -> str:
+def _help_page(usage: str, doc: str, options: dict[str, Any], commands: list[tuple[str, str]],
+               type_names: dict[Any, str]) -> str:
     """A help page in click's 80-column layout: a term over 30 columns puts its help on the next line."""
-    terms = [(f"{flag} {_metavar(kind)}".rstrip(), text) for flag, (_, kind, text) in options.items()]
+    terms = [(f"{flag} {_metavar(kind, type_names)}".rstrip(), text) for flag, (_, kind, text) in options.items()]
     lines = [f"Usage: {usage}", "", f"  {doc}"]
     for title, rows in [("Options", terms), ("Commands", commands)]:
         if not rows:

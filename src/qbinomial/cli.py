@@ -16,8 +16,8 @@ rewrapped on narrower terminals.
 
 Help pages, did-you-mean hints and config-file reading live in
 qbinomial._cli_cold, which this module imports only in the branches that
-use it, and `_emit` imports json or csv only for the format that needs it:
-a command run from flags compiles none of them.
+use it; `_emit` writes csv rows itself and imports json only for the json
+format: a command run from flags in table or csv format compiles none of them.
 """
 from __future__ import annotations
 
@@ -132,23 +132,20 @@ def _emit(fmt: str, document: Any, records: list[dict[str, Any]], table: list[tu
     """Write one result to stdout in format `fmt`.
 
     json dumps `document`; csv, and table without `table` pairs, writes the first
-    record's keys, then each record's values; table otherwise aligns the non-None
-    pairs, floats to six places. csv ends its rows in CRLF (RFC 4180); every other
-    line ends in LF. Each format imports the module that writes it, so a table
-    process loads neither json nor csv.
+    record's keys, then each record's values, comma-separated; table otherwise
+    aligns the non-None pairs, floats to six places. csv ends its rows in CRLF
+    (RFC 4180); every other line ends in LF. No cell needs csv quoting: each is
+    a number, a choice name, a key, a check name or a status. Only json imports
+    a module to write, so a table or csv process loads neither json nor csv.
     """
     if fmt == "json":
         import json
 
         print(json.dumps(document, indent=2))
     elif fmt == "csv" or table is None:
+        end = "\r\n" if fmt == "csv" else "\n"
         rows = [list(records[0]), *([_cell(value) for value in record.values()] for record in records)]
-        if fmt == "csv":
-            import csv
-
-            csv.writer(sys.stdout, lineterminator="\r\n").writerows(rows)
-        else:  # numbers and choice names: no cell holds what csv would quote
-            print(*map(",".join, rows), sep="\n")
+        print(*map(",".join, rows), sep=end, end=end)
     else:
         pairs = [(key, _cell(value)) for key, value in table if value is not None]
         width = max(len(key) for key, _ in pairs)
@@ -249,7 +246,7 @@ class _Group:
             if not args:
                 from ._cli_cold import _help_page
 
-                print(_help_page(f"{path} {usage}", doc, options, commands), file=sys.stderr)
+                print(_help_page(f"{path} {usage}", doc, options, commands, _TYPE_NAMES), file=sys.stderr)
                 sys.exit(2)
             flags, rest = _parse(args, options, interspersed=False)
             if "--help" not in flags:
@@ -265,7 +262,7 @@ class _Group:
             if "--help" in flags:
                 from ._cli_cold import _help_page
 
-                print(_help_page(f"{path} {usage}", doc, options, commands))
+                print(_help_page(f"{path} {usage}", doc, options, commands, _TYPE_NAMES))
                 return
             values = {_OPTIONS[flag][0]: _convert(flag, raw) for flag, raw in flags.items()}
             if rest:
@@ -275,7 +272,7 @@ class _Group:
             if "config" in values:
                 from ._cli_cold import _read_config
 
-                loaded = _read_config(values.pop("config"))
+                loaded = _read_config(values.pop("config"), _DEFAULTS)
             config = config_from_dict({**_DEFAULTS, **loaded, **values})
             if dump:
                 _emit("json", _as_dict(config), [])

@@ -10,8 +10,9 @@ layer, and `disk`, `price --model quantum_single` and `verify` load it when
 they run; `qbinomial.cli` forwards its three disk names to `qbinomial.disk`.
 The CLI's cold path (qbinomial._cli_cold: help pages, did-you-mean hints
 and config files) loads only for the no-argument page, --help, a refused
-command line and --config, and csv and json load only with the format that
-writes them, so a table-format command loads none of the three.
+command line and --config, and imports nothing from qbinomial.cli, so
+`python -m qbinomial.cli` loads cli.py once. json loads only for the json
+format and csv never, so a table- or csv-format command loads none of the three.
 Each check runs in a fresh interpreter, because this test process has numpy
 and the whole package loaded already.
 """
@@ -203,20 +204,14 @@ def test_quantum_commands_load_the_quantum_layer_when_they_run(argv):
 COLD_PATH = "qbinomial._cli_cold"
 
 
+CSV_COMMANDS = [["price", "--format", "csv"], ["sweep", "--periods", "3", "--format", "csv"],
+                ["disk", "--samples", "2", "--format", "csv"]]
+
+
 def test_commands_run_from_flags_never_load_the_cold_path_or_csv():
-    # every NUMPY_FREE_COMMANDS line is in the default table format
-    assert _loaded_by_steps(CLI_STEPS, [COLD_PATH, "csv"]) == dict.fromkeys(CLI_STEPS, [])
-
-
-@pytest.mark.parametrize(
-    "argv",
-    [["price", "--format", "csv"], ["sweep", "--periods", "3", "--format", "csv"],
-     ["disk", "--samples", "2", "--format", "csv"]],
-    ids=" ".join,
-)
-def test_csv_format_loads_csv(argv):
-    steps = ["import qbinomial.cli", _cli_step(argv)]
-    assert _loaded_by_steps(steps, [COLD_PATH, "csv"]) == {steps[0]: [], steps[1]: ["csv"]}
+    # NUMPY_FREE_COMMANDS are in the default table format; _emit joins csv rows itself too
+    steps = CLI_STEPS + [_cli_step(argv) for argv in CSV_COMMANDS]
+    assert _loaded_by_steps(steps, [COLD_PATH, "csv"]) == dict.fromkeys(steps, [])
 
 
 @pytest.mark.parametrize(
@@ -239,7 +234,7 @@ def test_help_hints_and_config_load_the_cold_path(argv, tmp_path):
         (["price", "--periods", "2"], []),
         (["sweep", "--periods", "5"], []),
         (["price", "--format", "json"], ["json"]),
-        (["price", "--format", "csv"], ["csv"]),
+        (["price", "--format", "csv"], []),
         (["--help"], [COLD_PATH]),
     ],
     ids=["price", "sweep", "price json", "price csv", "help"],
@@ -251,6 +246,15 @@ def test_whole_processes_load_json_csv_and_the_cold_path_only_on_use(argv, loade
     assert done.returncode == 0, done.stderr
     imported = {line.rpartition("|")[2].strip() for line in done.stderr.splitlines() if line.startswith("import time:")}
     assert sorted(imported & {COLD_PATH, "csv", "json"}) == loaded
+
+
+def test_python_m_qbinomial_cli_runs_its_cold_path_without_loading_cli_again():
+    # under -m, cli.py runs as __main__; the cold path importing from qbinomial.cli would load it a second time
+    done = subprocess.run([sys.executable, "-X", "importtime", "-m", "qbinomial.cli", "--help"], env=_env(),
+                          capture_output=True, text=True, timeout=120, check=True)
+    imported = {line.rpartition("|")[2].strip() for line in done.stderr.splitlines() if line.startswith("import time:")}
+    assert COLD_PATH in imported
+    assert "qbinomial.cli" not in imported
 
 
 def test_cli_forwards_its_disk_names_to_disk():
