@@ -179,6 +179,7 @@ def sample_disk(disk: RiskNeutralDisk, count: int, seed: int) -> list[DensitySta
     if count < 0:
         raise ValueError("count must be nonnegative")
     if count == 0:
+        _Pcg64(seed)  # refuses the seeds that a drawing call refuses
         return []
     faithful = _faithful_part(disk.plane_offset)
     rng = _Pcg64(seed)

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import csv
+import gc
 import io
 import itertools
 import json
@@ -597,16 +598,22 @@ def test_readme_library_example_runs():
     exec(_readme_block("Library example", "python"), {})
 
 
+def _env(**extra: str) -> dict[str, str]:
+    """This process's environment with this checkout's src/ ahead of PYTHONPATH, and `extra`."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])), **extra}
+
+
+def _python(*argv: str) -> subprocess.CompletedProcess:
+    """Run a fresh interpreter on `argv` under _env(), capturing its output bytes."""
+    return subprocess.run([sys.executable, *argv], env=_env(), capture_output=True, timeout=120)
+
+
 def test_verify_with_returns_near_the_float_limit_passes_without_warnings():
     # the squares of Bloch components near 1e195 overflow, and a numpy RuntimeWarning would reach stderr
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    argv = "verify --a 1e194 --b 1e195 --r 5e194 --s0 1 --strike 1 --periods 1".split()
-    done = subprocess.run(
-        [sys.executable, "-m", "qbinomial", *argv], env=env, capture_output=True, text=True, timeout=120
-    )
+    done = _python("-m", "qbinomial", *"verify --a 1e194 --b 1e195 --r 5e194 --s0 1 --strike 1 --periods 1".split())
     assert done.returncode == 0, done.stderr
-    assert done.stderr == ""
+    assert done.stderr == b""
 
 
 @pytest.mark.parametrize(
@@ -621,24 +628,61 @@ def test_verify_with_returns_near_the_float_limit_passes_without_warnings():
     ids=["python-m", "python-m-module", "console-script"],
 )
 def test_usage_names_the_program_as_it_was_started(argv, program):
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    done = subprocess.run(
-        [sys.executable, *argv, "price", "--periods", "x"], env=env, capture_output=True, text=True, timeout=120
-    )
+    done = _python(*argv, "price", "--periods", "x")
     assert done.returncode == 2
-    assert done.stderr.splitlines()[0] == f"Usage: {program} price [OPTIONS]"
+    assert done.stderr.decode().splitlines()[0] == f"Usage: {program} price [OPTIONS]"
+
+
+# main() as the console script calls it, then the frozen-object count: "<exit code> <count>" on the last line
+_FREEZE_PROBE = """import gc, sys
+from qbinomial.cli import main
+sys.argv[:] = ["qbinomial", *sys.argv[1:]]
+code = 0
+try:
+    main()
+except SystemExit as exc:
+    code = exc.code
+print(code, gc.get_freeze_count())
+"""
+
+
+@pytest.mark.parametrize("args, exit_code", [("price --periods 2", 0), ("price --periods x", 2)],
+                         ids=["run", "usage-error"])
+def test_the_program_entry_freezes_the_heap_on_its_way_out(args, exit_code):
+    # the shutdown collections skip frozen objects; before main() nothing is frozen
+    assert _python("-c", "import gc; print(gc.get_freeze_count())").stdout == b"0\n"
+    code, frozen = map(int, _python("-c", _FREEZE_PROBE, *args.split()).stdout.split()[-2:])
+    assert code == exit_code
+    assert frozen > 0
+
+
+def test_in_process_main_does_not_freeze():
+    # a process that goes on running after main.main would keep its heap frozen
+    before = gc.get_freeze_count()
+    assert _invoke(["price", "--periods", "2"]).exit_code == 0
+    assert _invoke(["price", "--periods", "x"]).exit_code == 2
+    assert gc.get_freeze_count() == before
+
+
+@pytest.mark.parametrize("args", [
+    "price", "price --format csv", "price --format json", "sweep --periods 5 --format csv",
+    "disk --samples 2 --format json",
+])
+def test_whole_processes_write_what_main_main_writes(args):
+    # the exit path after main() cannot truncate output: the same bytes (CRLF read as invoke reads it) and exit
+    expected, done = _invoke(args.split()), _python("-m", "qbinomial", *args.split())
+    assert (expected.exit_code, expected.stderr) == (0, "")
+    assert (done.returncode, done.stderr) == (0, b"")
+    assert done.stdout.replace(b"\r\n", b"\n") == expected.stdout.encode()
+    assert done.stdout.endswith(b"\r\n" if "csv" in args else b"\n")
 
 
 @pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
 @pytest.mark.parametrize("args", [["price"], ["--help"], ["price", "--help"]], ids=" ".join)
 def test_a_closed_stdout_ends_the_command_with_exit_1_and_no_traceback(args, unbuffered):
     # a reader such as `| head -n 1` may close the pipe before the command writes to it
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
-           "PYTHONUNBUFFERED": unbuffered}
-    with subprocess.Popen([sys.executable, "-m", "qbinomial", *args], env=env, stdout=subprocess.PIPE,
-                          stderr=subprocess.PIPE) as process:
+    with subprocess.Popen([sys.executable, "-m", "qbinomial", *args], env=_env(PYTHONUNBUFFERED=unbuffered),
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE) as process:
         process.stdout.close()
         stderr = process.stderr.read()
         assert (process.wait(timeout=120), stderr) == (1, b"")

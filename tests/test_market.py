@@ -348,16 +348,18 @@ def test_sample_disk_rejects_a_negative_count():
 
 def test_sample_disk_rejects_a_negative_seed():
     disk = risk_neutral_disk(REFERENCE, default_observable(REFERENCE))
-    with pytest.raises(ValueError, match="non-negative"):
-        sample_disk(disk, 2, -1)
+    for count in (0, 2):  # a count of 0 checks the seed too
+        with pytest.raises(ValueError, match="^expected non-negative integer$"):
+            sample_disk(disk, count, -1)
 
 
 @pytest.mark.parametrize("seed", [1.5, 2.0, "3"])
 def test_sample_disk_rejects_a_non_integer_seed(seed):
     # numpy.random.default_rng refuses these with TypeError too
     disk = risk_neutral_disk(REFERENCE, default_observable(REFERENCE))
-    with pytest.raises(TypeError, match="^seed must be an integer, not "):
-        sample_disk(disk, 1, seed)
+    for count in (0, 1):  # a count of 0 checks the seed too
+        with pytest.raises(TypeError, match=f"^{re.escape(f'seed must be an integer, not {seed!r}')}$"):
+            sample_disk(disk, count, seed)
 
 
 def test_sample_disk_takes_a_numpy_integer_seed():
