@@ -633,27 +633,26 @@ def test_usage_names_the_program_as_it_was_started(argv, program):
     assert done.stderr.decode().splitlines()[0] == f"Usage: {program} price [OPTIONS]"
 
 
-# main() as the console script calls it, then the frozen-object count: "<exit code> <count>" on the last line
+# main() as the console script calls it, between two frozen-object counts: "<before> <exit code> <after>" last
 _FREEZE_PROBE = """import gc, sys
 from qbinomial.cli import main
 sys.argv[:] = ["qbinomial", *sys.argv[1:]]
-code = 0
+before, code = gc.get_freeze_count(), 0
 try:
     main()
 except SystemExit as exc:
     code = exc.code
-print(code, gc.get_freeze_count())
+print(before, code, gc.get_freeze_count())
 """
 
 
 @pytest.mark.parametrize("args, exit_code", [("price --periods 2", 0), ("price --periods x", 2)],
                          ids=["run", "usage-error"])
 def test_the_program_entry_freezes_the_heap_on_its_way_out(args, exit_code):
-    # the shutdown collections skip frozen objects; before main() nothing is frozen
-    assert _python("-c", "import gc; print(gc.get_freeze_count())").stdout == b"0\n"
-    code, frozen = map(int, _python("-c", _FREEZE_PROBE, *args.split()).stdout.split()[-2:])
-    assert code == exit_code
-    assert frozen > 0
+    # the shutdown collections skip frozen objects; importing the CLI freezes nothing
+    before, code, after = map(int, _python("-c", _FREEZE_PROBE, *args.split()).stdout.split()[-3:])
+    assert (before, code) == (0, exit_code)
+    assert after > 0
 
 
 def test_in_process_main_does_not_freeze():
