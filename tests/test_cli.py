@@ -134,6 +134,18 @@ MULTI_FAULT_CASES = [
     ("price --model classical --periods 2 --r 0.3", None, 2, "", "r >= b: arbitrage"),
     ("price --model be --periods 5000 --r 0.3", None, 2, "", "r >= b: arbitrage"),
     ("price --r 0.3 --dump-config", None, 0, json.dumps(_ARBITRAGE_DUMP, indent=2), ""),
+    # the finite rows run before the integer rows, and the integer rows in periods, seed, samples order
+    ("disk", '{"seed": 1.5, "samples": "x"}', 2, "", "samples is not a finite number"),
+    ("sweep", '{"seed": 1.5, "samples": 2.5}', 2, "", "seed is not an integer"),
+    # every number row runs before the market
+    ("verify --b0 0", '{"periods": 1.5}', 2, "", "periods is not an integer"),
+    ("price --b0 nan", '{"periods": 1.5}', 2, "", "market.bond_initial is not a finite number"),
+    # the run rows run in periods, samples, seed order, and before the choices
+    ("disk --samples -1 --seed -1", None, 2, "", "samples < 0: invalid run"),
+    ("disk --periods 0 --samples -1", None, 2, "", "periods < 1: invalid run"),
+    ("sweep --seed -1", '{"model": "x"}', 2, "", "seed < 0: invalid run"),
+    ("verify", '{"model": "x", "output_format": "y"}', 2, "", "unknown model: x"),
+    ("disk --strike 0", '{"output_format": "xml"}', 2, "", "strike <= 0: invalid option"),
 ]
 
 
