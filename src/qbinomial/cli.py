@@ -87,46 +87,30 @@ _OPTIONS: dict[str, tuple[str, Any, str]] = {
 }
 _TYPE_NAMES = {float: "float", int: "integer"}
 
-# (predicate, diagnostic) rows, checked in order; the first that fails is reported.
-# Numeric settings must be finite floats (not JSON booleans), and integer ones
-# integer-valued, before MarketParams and CallSpec check their own thresholds.
-_NUMBER_CHECKS: list[tuple[Callable[[dict[str, Any]], bool], str]] = [
-    *(
-        (lambda s, key=key: type(s[key]) in (int, float) and abs(s[key]) <= sys.float_info.max,
-         f"{key} is not a finite number")
-        for key, default in _DEFAULTS.items()
-        if not isinstance(default, str)
-    ),
-    *(
-        (lambda s, key=key: s[key] == int(s[key]), f"{key} is not an integer")
-        for key, default in _DEFAULTS.items()
-        if type(default) is int
-    ),
-]
-_RUN_CHECKS: list[tuple[Callable[[dict[str, Any]], bool], str]] = [
-    (lambda s: s["periods"] >= 1, "periods < 1: invalid run"),
-    (lambda s: s["samples"] >= 0, "samples < 0: invalid run"),
-    (lambda s: s["seed"] >= 0, "seed < 0: invalid run"),
-    *(
-        (lambda s, key=key, choices=choices: s[key] in choices, f"unknown {key.replace('_', ' ')}: {{{key}}}")
-        for key, choices in _CHOICES.items()
-    ),
-]
-
-
-def _check(rows: list[tuple[Callable[[dict[str, Any]], bool], str]], settings: dict[str, Any]) -> None:
-    for holds, diagnostic in rows:
-        if not holds(settings):
-            raise ValueError(diagnostic.format(**settings))
-
 
 def config_from_dict(settings: dict[str, Any]) -> RunConfig:
-    """Validate resolved settings, naming the violated threshold on failure."""
-    _check(_NUMBER_CHECKS, settings)
+    """Validate resolved settings, naming the violated threshold on failure.
+
+    The first failing rule is reported, in the order: every numeric setting finite (not a JSON
+    boolean), every integer setting integer-valued, the market (MarketParams), the option
+    (CallSpec), the run (periods, samples, seed), then the choices (model, output format).
+    """
+    for key, default in _DEFAULTS.items():
+        value = settings[key]
+        if not isinstance(default, str) and not (type(value) in (int, float) and abs(value) <= sys.float_info.max):
+            raise ValueError(f"{key} is not a finite number")
+    for key, default in _DEFAULTS.items():
+        if type(default) is int and settings[key] != int(settings[key]):
+            raise ValueError(f"{key} is not an integer")
     typed = {key: type(default)(settings[key]) for key, default in _DEFAULTS.items()}
     market = MarketParams(**{key[len("market."):]: v for key, v in typed.items() if "." in key})
-    CallSpec(typed["strike"])  # the option's own threshold, before the run rows
-    _check(_RUN_CHECKS, settings)
+    CallSpec(typed["strike"])
+    for key, floor in (("periods", 1), ("samples", 0), ("seed", 0)):
+        if settings[key] < floor:
+            raise ValueError(f"{key} < {floor}: invalid run")
+    for key, choices in _CHOICES.items():
+        if settings[key] not in choices:
+            raise ValueError(f"unknown {key.replace('_', ' ')}: {settings[key]}")
     return RunConfig(market=market, **{key: v for key, v in typed.items() if "." not in key})
 
 
